@@ -12,54 +12,28 @@
 
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use sd_graph::{GraphUpdate, VertexId};
 use sd_server::WireQuery;
 
 use crate::spec::{Updates, Workload};
 
-/// SplitMix64: small, fast, and fully determined by its seed.
-#[derive(Clone, Debug)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// A generator for stream `stream` of run seed `seed`.
-    pub fn new(seed: u64, stream: u64) -> Rng {
-        let mut rng = Rng(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
-        rng.next_u64();
-        rng
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `lo..=hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next_u64() % (hi - lo + 1)
-    }
-
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.next_u64() as usize % items.len()]
-    }
+/// The generator of stream `stream` of run seed `seed`. Each stream has
+/// its own, so drawing more from one leaves the others unchanged.
+pub fn stream_rng(seed: u64, stream: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
 /// Arrival times of a Poisson process of `rate` per second over
 /// `[0, horizon)`.
-pub fn poisson_arrivals(rng: &mut Rng, rate: f64, horizon: Duration) -> Vec<Duration> {
+pub fn poisson_arrivals(rng: &mut StdRng, rate: f64, horizon: Duration) -> Vec<Duration> {
     let mut out = Vec::new();
     let mut t = 0.0f64;
     loop {
-        // 1 - unit() lies in (0, 1], so the logarithm is finite.
-        t += -(1.0 - rng.unit()).ln() / rate;
+        // 1 - gen() lies in (0, 1], so the logarithm is finite.
+        t += -(1.0 - rng.gen::<f64>()).ln() / rate;
         if t >= horizon.as_secs_f64() {
             return out;
         }
@@ -69,9 +43,9 @@ pub fn poisson_arrivals(rng: &mut Rng, rate: f64, horizon: Duration) -> Vec<Dura
 
 /// Arrival times of a writer that flushes `rate` times per second on a
 /// fixed cadence, starting at a seeded offset within the first period.
-pub fn periodic_arrivals(rng: &mut Rng, rate: f64, horizon: Duration) -> Vec<Duration> {
+pub fn periodic_arrivals(rng: &mut StdRng, rate: f64, horizon: Duration) -> Vec<Duration> {
     let period = 1.0 / rate;
-    let offset = rng.unit() * period;
+    let offset = rng.gen::<f64>() * period;
     (0..)
         .map(|i| offset + f64::from(i) * period)
         .take_while(|&t| t < horizon.as_secs_f64())
@@ -97,10 +71,10 @@ pub struct Scheduled {
 
 /// Draws one query spec: k and r uniform over the workload's ranges, the
 /// engine uniform over its engine list.
-pub fn draw_query(rng: &mut Rng, w: &Workload) -> WireQuery {
-    let k = rng.range(u64::from(w.k_range.0), u64::from(w.k_range.1)) as u32;
-    let r = rng.range(w.r_range.0, w.r_range.1);
-    WireQuery { k, r, engine: *rng.pick(w.engines) }
+pub fn draw_query(rng: &mut StdRng, w: &Workload) -> WireQuery {
+    let k = rng.gen_range(w.k_range.0..=w.k_range.1);
+    let r = rng.gen_range(w.r_range.0..=w.r_range.1);
+    WireQuery { k, r, engine: *w.engines.choose(rng).expect("a workload names its engines") }
 }
 
 /// A copy of the served edge set, kept by the benchmark so that update
@@ -181,8 +155,9 @@ impl Mirror {
         out
     }
 
-    fn random_vertex_with_degree(&self, rng: &mut Rng) -> Option<VertexId> {
-        (0..64).map(|_| rng.range(0, self.n() as u64 - 1) as VertexId).find(|&v| self.degree(v) > 0)
+    fn random_vertex_with_degree(&self, rng: &mut StdRng) -> Option<VertexId> {
+        let n = self.n() as VertexId;
+        (0..64).map(|_| rng.gen_range(0..n)).find(|&v| self.degree(v) > 0)
     }
 
     fn degree(&self, v: VertexId) -> usize {
@@ -191,11 +166,11 @@ impl Mirror {
 
     /// An absent edge between two vertices two hops apart (inserting it
     /// closes a triangle).
-    fn draw_two_hop_pair(&self, rng: &mut Rng) -> Option<(VertexId, VertexId)> {
+    fn draw_two_hop_pair(&self, rng: &mut StdRng) -> Option<(VertexId, VertexId)> {
         for _ in 0..64 {
             let u = self.random_vertex_with_degree(rng)?;
-            let w = *rng.pick(self.neighbors(u));
-            let v = *rng.pick(self.neighbors(w));
+            let w = *self.neighbors(u).choose(rng)?;
+            let v = *self.neighbors(w).choose(rng)?;
             if v != u && !self.has_edge(u, v) {
                 return Some((u, v));
             }
@@ -203,19 +178,24 @@ impl Mirror {
         None
     }
 
-    fn draw_edge(&self, rng: &mut Rng) -> Option<(VertexId, VertexId)> {
+    fn draw_edge(&self, rng: &mut StdRng) -> Option<(VertexId, VertexId)> {
         let u = self.random_vertex_with_degree(rng)?;
-        Some((u, *rng.pick(self.neighbors(u))))
+        Some((u, *self.neighbors(u).choose(rng)?))
     }
 
     /// Draws one batch of `ops` updates, each of which applies when the
     /// batches are applied in order, and applies it to the mirror.
     /// `insert_share` of the ops insert a two-hop pair; the rest remove an
     /// existing edge.
-    pub fn draw_batch(&mut self, rng: &mut Rng, ops: usize, insert_share: f64) -> Vec<GraphUpdate> {
+    pub fn draw_batch(
+        &mut self,
+        rng: &mut StdRng,
+        ops: usize,
+        insert_share: f64,
+    ) -> Vec<GraphUpdate> {
         let mut batch = Vec::with_capacity(ops);
         while batch.len() < ops {
-            let update = if rng.unit() < insert_share {
+            let update = if rng.gen_bool(insert_share) {
                 self.draw_two_hop_pair(rng).map(|(u, v)| GraphUpdate::Insert { u, v })
             } else {
                 self.draw_edge(rng).map(|(u, v)| GraphUpdate::Remove { u, v })
@@ -233,7 +213,7 @@ impl Mirror {
     /// applying after the ones before it.
     pub fn draw_batches(
         mut self,
-        rng: &mut Rng,
+        rng: &mut StdRng,
         count: usize,
         mix: &Updates,
     ) -> Vec<Vec<GraphUpdate>> {
@@ -281,19 +261,21 @@ impl Inputs {
         connections: usize,
     ) -> Inputs {
         let span = horizon * phases as u32;
-        let mut spec_rng = Rng::new(seed, QUERY_SPECS);
+        let mut spec_rng = stream_rng(seed, QUERY_SPECS);
         let queries: Vec<Scheduled> =
-            poisson_arrivals(&mut Rng::new(seed, QUERY_ARRIVALS), w.query_rate, span)
+            poisson_arrivals(&mut stream_rng(seed, QUERY_ARRIVALS), w.query_rate, span)
                 .into_iter()
                 .map(|due| Scheduled { due, op: Op::Query(draw_query(&mut spec_rng, w)) })
                 .collect();
         let update_times = match w.updates {
-            Some(u) => periodic_arrivals(&mut Rng::new(seed, UPDATE_ARRIVALS), u.batch_rate, span),
+            Some(u) => {
+                periodic_arrivals(&mut stream_rng(seed, UPDATE_ARRIVALS), u.batch_rate, span)
+            }
             None => Vec::new(),
         };
         let batches = match w.updates {
             Some(u) => mirror.clone().draw_batches(
-                &mut Rng::new(seed, UPDATE_OPS),
+                &mut stream_rng(seed, UPDATE_OPS),
                 update_times.len() + 1,
                 &u,
             ),
@@ -316,7 +298,7 @@ impl Inputs {
         for conn in out.iter_mut().flatten() {
             conn.sort_by_key(|s| s.due);
         }
-        let mut closed_rng = Rng::new(seed, CLOSED_SPECS);
+        let mut closed_rng = stream_rng(seed, CLOSED_SPECS);
         let closed = (0..connections)
             .map(|_| (0..4096).map(|_| draw_query(&mut closed_rng, w)).collect())
             .collect();
@@ -327,7 +309,7 @@ impl Inputs {
 /// `count` specs for the per-layer replays, drawn like the workload's
 /// queries but from a stream of their own.
 pub fn replay_specs(w: &Workload, seed: u64, count: usize) -> Vec<WireQuery> {
-    let mut rng = Rng::new(seed, REPLAY_SPECS);
+    let mut rng = stream_rng(seed, REPLAY_SPECS);
     (0..count).map(|_| draw_query(&mut rng, w)).collect()
 }
 
@@ -339,9 +321,9 @@ mod tests {
     #[test]
     fn poisson_schedule_repeats_for_a_seed_and_differs_across_seeds() {
         let horizon = Duration::from_secs(5);
-        let a = poisson_arrivals(&mut Rng::new(7, QUERY_ARRIVALS), 300.0, horizon);
-        let b = poisson_arrivals(&mut Rng::new(7, QUERY_ARRIVALS), 300.0, horizon);
-        let c = poisson_arrivals(&mut Rng::new(8, QUERY_ARRIVALS), 300.0, horizon);
+        let a = poisson_arrivals(&mut stream_rng(7, QUERY_ARRIVALS), 300.0, horizon);
+        let b = poisson_arrivals(&mut stream_rng(7, QUERY_ARRIVALS), 300.0, horizon);
+        let c = poisson_arrivals(&mut stream_rng(8, QUERY_ARRIVALS), 300.0, horizon);
         assert_eq!(a, b);
         assert_ne!(a, c);
         // About rate × horizon arrivals, in order, inside the horizon.
@@ -352,13 +334,14 @@ mod tests {
 
     #[test]
     fn periodic_arrivals_keep_their_cadence() {
-        let a = periodic_arrivals(&mut Rng::new(7, UPDATE_ARRIVALS), 10.0, Duration::from_secs(2));
+        let a =
+            periodic_arrivals(&mut stream_rng(7, UPDATE_ARRIVALS), 10.0, Duration::from_secs(2));
         assert_eq!(a.len(), 20);
         assert!(a[0] < Duration::from_millis(100));
         assert!(a.windows(2).all(|p| (p[1] - p[0]).as_secs_f64() - 0.1 < 1e-9));
         assert_eq!(
             a,
-            periodic_arrivals(&mut Rng::new(7, UPDATE_ARRIVALS), 10.0, Duration::from_secs(2))
+            periodic_arrivals(&mut stream_rng(7, UPDATE_ARRIVALS), 10.0, Duration::from_secs(2))
         );
     }
 
@@ -393,7 +376,7 @@ mod tests {
             (0..100u32).flat_map(|v| [(v, (v + 1) % 100), (v, (v + 3) % 100)]).collect();
         let start = Mirror::new(100, &edges);
         let mut future = start.clone();
-        let mut rng = Rng::new(5, UPDATE_OPS);
+        let mut rng = stream_rng(5, UPDATE_OPS);
         let batches: Vec<_> = (0..20).map(|_| future.draw_batch(&mut rng, 16, 2.0 / 3.0)).collect();
         let mut replay = start;
         for batch in &batches {

@@ -14,7 +14,7 @@ use sd_graph::{CsrGraph, GraphBuilder, GraphUpdate, VertexId};
 use sd_server::{QueryOutcome, QueryResponse, Response, WireQuery};
 use sd_truss::{bitmap_truss_decomposition, truss_decomposition};
 
-use crate::gen::{self, Mirror, Rng};
+use crate::gen::{self, Mirror};
 use crate::loadgen::encode_op;
 use crate::spec::UPDATE_MIX;
 use crate::stats::{median, percentile, sorted};
@@ -258,5 +258,9 @@ impl Replay<'_> {
 /// The update batches a replay feeds its twin, for workloads whose own
 /// traffic has none.
 pub fn twin_batches(mirror: &Mirror, seed: u64) -> Vec<Vec<GraphUpdate>> {
-    mirror.clone().draw_batches(&mut Rng::new(seed, gen::TWIN_OPS), TWIN_BATCHES, &UPDATE_MIX)
+    mirror.clone().draw_batches(
+        &mut gen::stream_rng(seed, gen::TWIN_OPS),
+        TWIN_BATCHES,
+        &UPDATE_MIX,
+    )
 }

@@ -7,21 +7,21 @@
 //! ```
 //!
 //! One run serves one workload from an in-process `sd_server::Server`
-//! and drives it over loopback TCP from this process: an open-loop phase
-//! at the workload's fixed Poisson rate, timed from each request's due
-//! time, then a closed-loop phase for throughput. Latency percentiles
-//! and throughput are taken per window and reported as the quartile of
-//! windows least disturbed by the host (see `stats::WINDOW_QUARTILE`).
-//! Every answer is checked against Online scores computed by the
-//! benchmark. The last
-//! line of standard output is one JSON object with the end-to-end
-//! metrics (`--trace 0`) or the per-layer metrics (`--trace 1`); a
-//! readable report goes to standard error.
+//! and drives it over loopback TCP from this process, open loop at the
+//! workload's fixed Poisson rate. Every answer is checked against Online
+//! scores computed by the benchmark. The last line of standard output is
+//! one JSON object with the end-to-end metrics (`--trace 0`: set-up time,
+//! CPU time per query, peak RSS) or the per-layer metrics (`--trace 1`,
+//! which also times latency from each request's due time and closed-loop
+//! throughput); a readable report goes to standard error. A run with a
+//! wrong answer or a failed operation exits with a non-zero status after
+//! printing its result.
 //!
 //! `--all` runs every workload, each in a fresh process, with and
 //! without tracing. `--write-manifest` regenerates `BENCHMARK.json` and
 //! `wirebench/predictions.json` from the definitions in `spec.rs`.
 
+mod cpu;
 mod gen;
 mod layers;
 mod loadgen;
@@ -41,15 +41,12 @@ use sd_server::{
     TenantRegistry, TenantStatsWire, WireQuery,
 };
 
-use gen::{Inputs, Mirror, Rng};
+use gen::{Inputs, Mirror};
 use layers::Replay;
 use loadgen::{closed_loop, open_loop, Failure, Outcome, Record, WallClock, WireConn};
 use oracle::{csr_of, Oracle};
 use spec::{Workload, END_TO_END, PER_LAYER};
-use stats::{
-    best_quartile_rate, highest_supported, mean, median, percentile, sorted, windowed_percentile,
-    windowed_rates,
-};
+use stats::{highest_supported, mean, median, percentile, sorted};
 use trace::Trace;
 
 /// Closed-loop queries each connection sends before measuring.
@@ -63,8 +60,6 @@ const REPLAY_SPECS: usize = 1_000;
 /// seconds, so that a cheap set-up's median rests on many samples.
 const SETUP_SECONDS: f64 = 2.0;
 const MAX_SETUP_REPS: usize = 100;
-/// Closed-loop throughput is taken per window of this length.
-const THROUGHPUT_WINDOW: Duration = Duration::from_secs(1);
 /// Where traced runs write their spans.
 const TRACE_DIR: &str = ".wirebench";
 
@@ -145,7 +140,12 @@ fn main() -> ExitCode {
     match run(w, args.seed, args.seconds, args.trace) {
         Ok(result) => {
             println!("{}", result.json());
-            ExitCode::SUCCESS
+            if result.correct && result.failed == 0 {
+                ExitCode::SUCCESS
+            } else {
+                eprintln!("wirebench: {name}: wrong answers or failed operations");
+                ExitCode::FAILURE
+            }
         }
         Err(err) => {
             eprintln!("wirebench: {name}: {err}");
@@ -499,7 +499,7 @@ fn update_probes(
     tally: &mut Tally,
 ) -> Result<Vec<f64>, String> {
     let batches = oracle.mirror().clone().draw_batches(
-        &mut Rng::new(seed, gen::PROBE_OPS),
+        &mut gen::stream_rng(seed, gen::PROBE_OPS),
         UPDATE_PROBES,
         &spec::UPDATE_MIX,
     );
@@ -554,11 +554,13 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
     let mirror = Mirror::new(graph.n(), &edges);
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let connections = spec::CONNECTIONS.min(cores);
-    let horizon = Duration::from_secs_f64(seconds as f64 * spec::OPEN_LOOP_SHARE);
-    // A traced run measures the open loop twice as long, in four phases
-    // ordered untraced, traced, traced, untraced, so that a drift over
-    // the run (a heap still growing, say) cancels out of the overhead.
-    let (phase_len, phases) = if traced { (horizon / 2, 4) } else { (horizon, 1) };
+    let span = Duration::from_secs(seconds);
+    // An untraced run measures one open-loop phase over the whole span. A
+    // traced run cuts it into quarters ordered untraced, traced, traced,
+    // untraced, so that a drift over the run (a heap still growing, say)
+    // cancels out of the overhead, and adds a closed-loop quarter.
+    let phases = if traced { spec::TRACED_PHASES } else { 1 };
+    let phase_len = span / phases as u32;
     let is_traced = |phase: usize| traced && (phase == 1 || phase == 2);
     let inputs = Inputs::generate(w, seed, &mirror, phase_len, phases, connections);
     let mut oracle = Oracle::new(mirror.clone(), &graph, w.k_range);
@@ -589,6 +591,7 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         inputs.closed.iter().map(|s| s[..WARMUP_QUERIES].to_vec()).collect();
     warm.extend(closed_loop_phase(&served, &warmup, Duration::from_secs(60), false)?);
 
+    let cpu_before = cpu::process_cpu()?;
     let mut phase_records = Vec::with_capacity(phases);
     for (p, schedules) in inputs.phases.iter().enumerate() {
         trace.set_enabled(is_traced(p));
@@ -597,11 +600,13 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         records.sort_by_key(|r| r.due);
         phase_records.push(records);
     }
-    let closed_span = Duration::from_secs(seconds).saturating_sub(horizon);
+    let open_cpu = cpu::process_cpu()?.saturating_sub(cpu_before);
+    let open_answered: usize = phase_records.iter().map(|r| answered(r).count()).sum();
+    let closed_span = span / phases as u32;
     let closed = if traced {
-        Vec::new()
-    } else {
         closed_loop_phase(&served, &inputs.closed, closed_span, true)?
+    } else {
+        Vec::new()
     };
     let (server_stats, tenant_stats, batch_stats) = read_stats(&served)?;
 
@@ -618,7 +623,7 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
     let (traced_records, untraced_records): (Vec<_>, Vec<_>) =
         phase_records.into_iter().enumerate().partition(|(p, _)| is_traced(*p));
     let first: &[Record] = &untraced_records.into_iter().flat_map(|(_, r)| r).collect::<Vec<_>>();
-    let latencies: Vec<f64> = answered(first).map(|r| ms(r.latency())).collect();
+    let latencies = sorted(answered(first).map(|r| ms(r.latency())).collect());
     report_latencies(w, first, &latencies, &closed);
     let metrics = if traced {
         let batches = if inputs.batches.is_empty() {
@@ -630,11 +635,13 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         let replay =
             Replay { graph: &graph, edges: &edges, warm: w.warm, specs: &specs, batches: &batches };
         let mut values = replay.run(&mut trace);
-        let traced_latencies: Vec<f64> =
-            traced_records.iter().flat_map(|(_, r)| answered(r)).map(|r| ms(r.latency())).collect();
+        let traced_latencies = sorted(
+            traced_records.iter().flat_map(|(_, r)| answered(r)).map(|r| ms(r.latency())).collect(),
+        );
         let round_trips = sorted(answered(first).map(|r| ms(r.round_trip())).collect());
         let bytes: Vec<f64> = answered(first).map(|r| r.response_bytes as f64).collect();
         let lates = sorted(first.iter().map(|r| ms(r.late())).collect());
+        let at = |sorted: &[f64], p: f64| percentile(sorted, p).unwrap_or(f64::NAN);
         values.put("proto.response_bytes_mean", mean(&bytes));
         values.put("service.fallbacks", tenant_stats.foreground_fallbacks as f64);
         values.put(
@@ -645,21 +652,19 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         values.put("batch.shed_queue_full", batch_stats.shed_queue_full as f64);
         values.put("admission.overloaded", server_stats.shed_overload as f64);
         let service_p50 = values.get("service.top_r_p50_ms").unwrap_or(f64::NAN);
-        values.put(
-            "server.wire_overhead_p50_ms",
-            percentile(&round_trips, 50.0).unwrap_or(f64::NAN) - service_p50,
-        );
+        values.put("server.wire_overhead_p50_ms", at(&round_trips, 50.0) - service_p50);
         values.put("server.update_p50_ms", median(&probe_times));
-        values.put("loadgen.late_p99_ms", percentile(&lates, 99.0).unwrap_or(f64::NAN));
-        // The whole open loop's p99: too noisy on a shared host to gate,
-        // so it is reported here rather than end to end.
-        let whole = sorted(latencies.clone());
-        values.put("wire.query_p99_ms", percentile(&whole, 99.0).unwrap_or(f64::NAN));
-        let p50 =
-            |l: &[f64]| windowed_percentile(l, spec::LATENCY_WINDOW, 50.0).unwrap_or(f64::NAN);
+        values.put("loadgen.late_p99_ms", at(&lates, 99.0));
+        values.put("wire.query_samples", latencies.len() as f64);
+        values.put("wire.query_p50_ms", at(&latencies, 50.0));
+        values.put("wire.query_p95_ms", at(&latencies, 95.0));
+        values.put("wire.query_p99_ms", at(&latencies, 99.0));
+        let closed_answered =
+            closed.iter().filter(|(_, o)| matches!(o, Outcome::Answered { .. })).count();
+        values.put("wire.throughput_qps", closed_answered as f64 / closed_span.as_secs_f64());
         values.put(
             "trace.overhead_pct",
-            (p50(&traced_latencies) - p50(&latencies)) / p50(&latencies) * 100.0,
+            (at(&traced_latencies, 50.0) - at(&latencies, 50.0)) / at(&latencies, 50.0) * 100.0,
         );
         write_spans(w, seed, &trace)?;
         PER_LAYER
@@ -672,22 +677,14 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
             })
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        let answered_at: Vec<Duration> = closed
-            .iter()
-            .filter(|(_, o)| matches!(o, Outcome::Answered { .. }))
-            .map(|&(t, _)| t)
-            .collect();
-        let values = [
-            median(&setup_times),
-            windowed_percentile(&latencies, spec::LATENCY_WINDOW, 50.0).unwrap_or(f64::NAN),
-            windowed_percentile(&latencies, spec::LATENCY_WINDOW, spec::TAIL_PERCENTILE)
-                .unwrap_or(f64::NAN),
-            best_quartile_rate(windowed_rates(&answered_at, THROUGHPUT_WINDOW, closed_span))
-                .unwrap_or(f64::NAN),
-            peak_rss_mb()?,
-        ];
+        let values =
+            [median(&setup_times), ms(open_cpu) / open_answered.max(1) as f64, peak_rss_mb()?];
         END_TO_END.iter().zip(values).map(|(m, v)| (m.name, m.unit, v)).collect()
     };
+    eprintln!(
+        "  open loop: {open_answered} answers, {:.3} s of process CPU",
+        open_cpu.as_secs_f64()
+    );
     for (name, unit, value) in &metrics {
         eprintln!("  {name:<34} {value:>14.4} {unit}");
         if !value.is_finite() {
@@ -728,23 +725,18 @@ fn setup_repeatedly(
     }
 }
 
-/// The readable part of the report: the sample count, whole-run
-/// percentiles up to the highest one the count supports, and the update
-/// latencies.
+/// The readable part of the report: the sample count, percentiles of
+/// ascending `latencies` up to the highest one the count supports, and
+/// the update latencies.
 fn report_latencies(
     w: &Workload,
     records: &[Record],
     latencies: &[f64],
     closed: &[(Duration, Outcome)],
 ) {
-    let latencies = &sorted(latencies.to_vec());
     eprintln!("wirebench {}: {} open-loop queries answered", w.name, latencies.len());
-    if latencies.len() < spec::LATENCY_WINDOW {
-        eprintln!(
-            "  warning: fewer than {} answers, so p{} has fewer than 10 samples beyond it",
-            spec::LATENCY_WINDOW,
-            spec::TAIL_PERCENTILE
-        );
+    if !stats::supports(latencies.len(), 99.0) {
+        eprintln!("  warning: too few answers for p99 to have 10 samples beyond it");
     }
     let at = |p: f64| percentile(latencies, p).unwrap_or(f64::NAN);
     eprintln!(

@@ -123,7 +123,7 @@ mod tests {
         let g = csr_of(&mirror);
         let mut oracle = Oracle::new(mirror.clone(), &g, (3, 5));
         let mut future = mirror;
-        let mut rng = crate::gen::Rng::new(11, 4);
+        let mut rng = crate::gen::stream_rng(11, 4);
         for _ in 0..6 {
             let batch = future.draw_batch(&mut rng, 8, 2.0 / 3.0);
             assert_eq!(oracle.advance(&batch), 8);

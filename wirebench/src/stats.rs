@@ -1,7 +1,5 @@
 //! Order statistics over latency samples.
 
-use std::time::Duration;
-
 /// Percentiles the benchmark reports, highest first.
 pub const PERCENTILES: [f64; 6] = [99.9, 99.0, 95.0, 90.0, 75.0, 50.0];
 
@@ -50,51 +48,6 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// Which quartile of the per-window figures a run reports. Host
-/// interference (CPU steal from other tenants) only ever slows a window,
-/// so the quartile of windows it disturbed least is the steadiest view of
-/// the program; a change to the program moves every window, and so this
-/// figure too. For figures where higher is better, the mirror quartile
-/// (75) is used.
-pub const WINDOW_QUARTILE: f64 = 25.0;
-
-/// Cuts time-ordered `samples` into as many equal-count windows as hold
-/// `per_window` samples each (at least one), and returns the
-/// [`WINDOW_QUARTILE`] of the windows' percentile `p`.
-pub fn windowed_percentile(samples: &[f64], per_window: usize, p: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let windows = (samples.len() / per_window).max(1);
-    let per_window: Vec<f64> = (0..windows)
-        .filter_map(|i| {
-            let window = &samples[i * samples.len() / windows..(i + 1) * samples.len() / windows];
-            percentile(&sorted(window.to_vec()), p)
-        })
-        .collect();
-    percentile(&sorted(per_window), WINDOW_QUARTILE)
-}
-
-/// The [`WINDOW_QUARTILE`] mirror (the 75th percentile) of `rates`, for a
-/// figure where higher is better.
-pub fn best_quartile_rate(rates: Vec<f64>) -> Option<f64> {
-    percentile(&sorted(rates), 100.0 - WINDOW_QUARTILE)
-}
-
-/// Events per second in each whole `window` of `span`, from the events'
-/// offsets `times` (at least one window).
-pub fn windowed_rates(times: &[Duration], window: Duration, span: Duration) -> Vec<f64> {
-    let windows = ((span.as_nanos() / window.as_nanos()) as usize).max(1);
-    let mut counts = vec![0usize; windows];
-    for t in times {
-        let i = (t.as_nanos() / window.as_nanos()) as usize;
-        if let Some(c) = counts.get_mut(i) {
-            *c += 1;
-        }
-    }
-    counts.into_iter().map(|c| c as f64 / window.as_secs_f64()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,31 +77,6 @@ mod tests {
         assert_eq!(percentile(&s, 100.0), Some(1000.0));
         assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(percentile(&[3.0], 99.0), Some(3.0));
-    }
-
-    #[test]
-    fn windowed_percentiles_report_the_least_disturbed_quartile() {
-        // Four windows of 1000; two hold a burst of slow samples that moves
-        // only their own p99.
-        let mut samples: Vec<f64> = (0..4000).map(|i| f64::from(i % 1000)).collect();
-        samples[1000..1100].iter_mut().for_each(|s| *s = 1e6);
-        samples[3000..3050].iter_mut().for_each(|s| *s = 1e6);
-        assert_eq!(windowed_percentile(&samples, 1000, 99.0), Some(989.0));
-        // Too few samples for two windows: one window, the plain percentile.
-        assert_eq!(
-            windowed_percentile(&samples[..1500], 1000, 50.0),
-            percentile(&sorted(samples[..1500].to_vec()), 50.0)
-        );
-        assert_eq!(windowed_percentile(&[], 1000, 50.0), None);
-        assert_eq!(best_quartile_rate(vec![5.0, 1.0, 4.0, 2.0]), Some(4.0));
-    }
-
-    #[test]
-    fn windowed_rates_count_whole_windows() {
-        let ms = Duration::from_millis;
-        let times = [ms(100), ms(200), ms(1500), ms(2999), ms(3100)];
-        assert_eq!(windowed_rates(&times, ms(1000), ms(3000)), vec![2.0, 1.0, 1.0]);
-        assert_eq!(windowed_rates(&times, ms(2000), ms(3000)), vec![1.5]);
     }
 
     #[test]
