@@ -230,6 +230,9 @@ const CLOSED_SPECS: u64 = 5;
 const REPLAY_SPECS: u64 = 6;
 pub const TWIN_OPS: u64 = 7;
 pub const PROBE_OPS: u64 = 8;
+/// Pass `p` of connection `c` draws its queries from stream
+/// `FIRST_PASS_SPECS + p × connections + c`.
+const FIRST_PASS_SPECS: u64 = 1 << 16;
 
 /// Everything one run sends, generated before the server starts.
 #[derive(Clone, Debug)]
@@ -240,16 +243,20 @@ pub struct Inputs {
     /// Update batches in the order they must apply; batch `i` publishes
     /// epoch `i + 1`. Batch 0 is sent during warm-up, so that the
     /// one-off seeding of the update path is not timed; the schedules
-    /// carry the rest.
+    /// carry the ones after it, and the passes those after the schedules'.
     pub batches: Vec<Vec<GraphUpdate>>,
     /// Specs the closed-loop phase cycles through, one list per
     /// connection.
     pub closed: Vec<Vec<WireQuery>>,
+    /// Index of the first batch the passes send.
+    first_pass_batch: usize,
+    seed: u64,
 }
 
 impl Inputs {
     /// Schedules `phases` open-loop phases of `horizon` each over
-    /// `connections` connections. The arrival processes run over the
+    /// `connections` connections, and draws update batches for up to
+    /// `passes` closed-loop passes. The arrival processes run over the
     /// whole `phases × horizon` span and are cut into phases, so phase 0
     /// does not depend on how many phases follow it.
     pub fn generate(
@@ -259,6 +266,7 @@ impl Inputs {
         horizon: Duration,
         phases: usize,
         connections: usize,
+        passes: usize,
     ) -> Inputs {
         let span = horizon * phases as u32;
         let mut spec_rng = stream_rng(seed, QUERY_SPECS);
@@ -276,12 +284,13 @@ impl Inputs {
         let batches = match w.updates {
             Some(u) => mirror.clone().draw_batches(
                 &mut stream_rng(seed, UPDATE_OPS),
-                update_times.len() + 1,
+                update_times.len() + 1 + passes * updates_per_pass(w),
                 &u,
             ),
             None => Vec::new(),
         };
 
+        let first_pass_batch = update_times.len() + 1;
         let mut out = vec![vec![Vec::new(); connections]; phases];
         // Queries are dealt round-robin; every update rides connection 0,
         // so batches reach the server in the order they were drawn.
@@ -302,8 +311,43 @@ impl Inputs {
         let closed = (0..connections)
             .map(|_| (0..4096).map(|_| draw_query(&mut closed_rng, w)).collect())
             .collect();
-        Inputs { phases: out, batches, closed }
+        Inputs { phases: out, batches, closed, first_pass_batch, seed }
     }
+
+    /// Queries each connection sends in one pass: the workload's
+    /// `pass_queries` shared out evenly.
+    pub fn pass_share(&self, w: &Workload) -> usize {
+        w.pass_queries / self.closed.len()
+    }
+
+    /// What connection `c` sends in pass `pass`: queries drawn afresh for
+    /// each pass, so that a run's passes together cover many more specs
+    /// than one pass, and on connection 0 the workload's update frames,
+    /// spread evenly among them and taking the batches on from the
+    /// previous pass.
+    pub fn pass_ops(&self, w: &Workload, c: usize, pass: usize) -> Vec<Op> {
+        let stream = FIRST_PASS_SPECS + (pass * self.closed.len() + c) as u64;
+        let mut rng = stream_rng(self.seed, stream);
+        let share = self.pass_share(w);
+        let updates = if c == 0 { updates_per_pass(w) } else { 0 };
+        let first = self.first_pass_batch + pass * updates;
+        let mut ops = Vec::with_capacity(share + updates);
+        let mut sent = 0;
+        for i in 0..share {
+            while sent < updates && sent * share <= i * updates {
+                ops.push(Op::Update(first + sent));
+                sent += 1;
+            }
+            ops.push(Op::Query(draw_query(&mut rng, w)));
+        }
+        ops
+    }
+}
+
+/// Update frames per pass: the workload's ratio of update frames to
+/// queries, applied to its `pass_queries`.
+pub fn updates_per_pass(w: &Workload) -> usize {
+    w.updates.map_or(0, |u| (w.pass_queries as f64 * u.batch_rate / w.query_rate).round() as usize)
 }
 
 /// `count` specs for the per-layer replays, drawn like the workload's
@@ -351,7 +395,7 @@ mod tests {
         let edges: Vec<(VertexId, VertexId)> =
             (0..200u32).flat_map(|v| [(v, (v + 1) % 200), (v, (v + 7) % 200)]).collect();
         let mirror = Mirror::new(200, &edges);
-        let gen = |seed| Inputs::generate(w, seed, &mirror, Duration::from_secs(2), 1, 2);
+        let gen = |seed| Inputs::generate(w, seed, &mirror, Duration::from_secs(2), 1, 2, 0);
         let (a, b, c) = (gen(1), gen(1), gen(2));
         assert_eq!(a.phases, b.phases);
         assert_eq!(a.batches, b.batches);
@@ -364,10 +408,41 @@ mod tests {
         let edges: Vec<(VertexId, VertexId)> =
             (0..200u32).flat_map(|v| [(v, (v + 1) % 200), (v, (v + 7) % 200)]).collect();
         let mirror = Mirror::new(200, &edges);
-        let one = Inputs::generate(w, 3, &mirror, Duration::from_secs(2), 1, 2);
-        let two = Inputs::generate(w, 3, &mirror, Duration::from_secs(2), 2, 2);
+        let one = Inputs::generate(w, 3, &mirror, Duration::from_secs(2), 1, 2, 0);
+        let two = Inputs::generate(w, 3, &mirror, Duration::from_secs(2), 2, 2, 0);
         assert_eq!(one.phases[0], two.phases[0]);
         assert_eq!(one.batches[..], two.batches[..one.batches.len()]);
+    }
+
+    #[test]
+    fn passes_draw_fresh_queries_and_carry_the_updates_on() {
+        let w = workload("serve-updates").expect("known workload");
+        let edges: Vec<(VertexId, VertexId)> =
+            (0..200u32).flat_map(|v| [(v, (v + 1) % 200), (v, (v + 7) % 200)]).collect();
+        let mirror = Mirror::new(200, &edges);
+        let inputs = Inputs::generate(w, 3, &mirror, Duration::ZERO, 0, 2, 2);
+        let per_pass = updates_per_pass(w);
+        assert!(per_pass > 0);
+        assert_eq!(inputs.batches.len(), 1 + 2 * per_pass);
+        let updates = |ops: &[Op]| -> Vec<usize> {
+            ops.iter()
+                .filter_map(|op| if let Op::Update(i) = op { Some(*i) } else { None })
+                .collect()
+        };
+        let queries = |ops: &[Op]| ops.iter().filter(|op| matches!(op, Op::Query(_))).count();
+        let (first, second) = (inputs.pass_ops(w, 0, 0), inputs.pass_ops(w, 0, 1));
+        assert_eq!(updates(&first), (1..=per_pass).collect::<Vec<_>>());
+        assert_eq!(updates(&second), (per_pass + 1..=2 * per_pass).collect::<Vec<_>>());
+        assert_eq!(queries(&first), w.pass_queries / 2);
+        // Connection 1 sends queries only, fresh ones in every pass, the
+        // same ones for the same seed.
+        let again = Inputs::generate(w, 3, &mirror, Duration::ZERO, 0, 2, 2);
+        assert_eq!(inputs.pass_ops(w, 1, 1), again.pass_ops(w, 1, 1));
+        assert_ne!(inputs.pass_ops(w, 1, 0), inputs.pass_ops(w, 1, 1));
+        assert!(updates(&inputs.pass_ops(w, 1, 0)).is_empty());
+        // The updates are spread through the pass, not bunched at its start.
+        let last = first.iter().rposition(|op| matches!(op, Op::Update(_))).expect("an update");
+        assert!(last > first.len() / 2, "last update at {last} of {}", first.len());
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! ```
 //!
 //! One run serves one workload from an in-process `sd_server::Server`
-//! and drives it over loopback TCP from this process, open loop at the
-//! workload's fixed Poisson rate. Every answer is checked against Online
-//! scores computed by the benchmark. The last line of standard output is
-//! one JSON object with the end-to-end metrics (`--trace 0`: set-up time,
-//! CPU time per query, peak RSS) or the per-layer metrics (`--trace 1`,
-//! which also times latency from each request's due time and closed-loop
-//! throughput); a readable report goes to standard error. A run with a
+//! and drives it over loopback TCP from this process. Every answer is
+//! checked against Online scores computed by the benchmark. The last line
+//! of standard output is one JSON object with the end-to-end metrics
+//! (`--trace 0`: set-up time, CPU time per query over closed-loop passes
+//! scaled to a reference clock, peak RSS) or the per-layer metrics (`--trace 1`,
+//! which drives the server open loop at the workload's fixed Poisson rate,
+//! times latency from each request's due time, and adds a closed-loop
+//! throughput phase); a readable report goes to standard error. A run with a
 //! wrong answer or a failed operation exits with a non-zero status after
 //! printing its result.
 //!
@@ -31,7 +32,8 @@ mod stats;
 mod trace;
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use sd_core::{EngineKind, GraphFingerprint, SearchService};
@@ -391,6 +393,89 @@ fn open_loop_phase(
     Ok(records)
 }
 
+/// Makes closed-loop passes until `span` has gone by (within
+/// [`spec::PASSES`]) and returns, for each pass, its process CPU time
+/// per query it sent and the [`cpu::probe_ms`] taken right after it, both
+/// in ms. In each pass every connection sends its
+/// [`Inputs::pass_ops`], each as soon as the previous answer is in; the
+/// passes start and end together, so the process CPU time between two
+/// pass boundaries is that pass's. Each pass's outcomes are checked after
+/// it ends, outside its CPU time, so that what the benchmark keeps does
+/// not grow with the run.
+fn cpu_passes(
+    served: &Served,
+    w: &Workload,
+    inputs: &Inputs,
+    span: Duration,
+    oracle: &mut Oracle,
+    tally: &mut Tally,
+) -> Result<Vec<(f64, f64)>, String> {
+    let addr = served.server.local_addr();
+    let conns: Vec<WireConn> = inputs
+        .closed
+        .iter()
+        .map(|_| WireConn::connect(addr, served.key, spec::QUERY_DEADLINE_MS, &inputs.batches))
+        .collect::<Result<_, _>>()
+        .map_err(|err| format!("cannot connect: {err}"))?;
+    let queries = (inputs.pass_share(w) * conns.len()) as f64;
+    // Passes start at one wait on the barrier and end at the next; each
+    // sender leaves its pass's outcomes in its slot before the second.
+    let barrier = Barrier::new(conns.len() + 1);
+    let stop = AtomicBool::new(false);
+    let slots: Vec<Mutex<Vec<Outcome>>> = conns.iter().map(|_| Mutex::default()).collect();
+    std::thread::scope(|scope| {
+        for (c, mut conn) in conns.into_iter().enumerate() {
+            let (barrier, stop, slot) = (&barrier, &stop, &slots[c]);
+            scope.spawn(move || {
+                let mut outcomes = Vec::new();
+                for pass in 0.. {
+                    barrier.wait();
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    for op in inputs.pass_ops(w, c, pass) {
+                        outcomes.push(loadgen::exchange(&mut conn, &op));
+                    }
+                    std::mem::swap(&mut *slot.lock().expect("no sender panics"), &mut outcomes);
+                    outcomes.clear();
+                    barrier.wait();
+                }
+            });
+        }
+        let start = Instant::now();
+        let mut cpu_ms = Vec::new();
+        let mut failure = None;
+        while cpu_ms.len() < spec::PASSES.1 {
+            let before = cpu::process_cpu();
+            barrier.wait();
+            barrier.wait();
+            match (before, cpu::process_cpu()) {
+                (Ok(before), Ok(after)) => {
+                    cpu_ms.push((ms(after.saturating_sub(before)) / queries, cpu::probe_ms()))
+                }
+                (Err(err), _) | (_, Err(err)) => {
+                    failure = Some(err);
+                    break;
+                }
+            }
+            let outcomes: Vec<Outcome> = slots
+                .iter()
+                .flat_map(|slot| std::mem::take(&mut *slot.lock().expect("no sender panics")))
+                .collect();
+            verify(&outcomes.iter().collect::<Vec<_>>(), oracle, &inputs.batches, tally);
+            if cpu_ms.len() >= spec::PASSES.0 && start.elapsed() >= span {
+                break;
+            }
+        }
+        stop.store(true, Ordering::Release);
+        barrier.wait();
+        match failure {
+            Some(err) => Err(err),
+            None => Ok(cpu_ms),
+        }
+    })
+}
+
 /// Sends each connection's specs closed-loop for `span`, cycling through
 /// them if `cycle`; returns the outcomes with their completion times from
 /// the phase start.
@@ -555,14 +640,15 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let connections = spec::CONNECTIONS.min(cores);
     let span = Duration::from_secs(seconds);
-    // An untraced run measures one open-loop phase over the whole span. A
-    // traced run cuts it into quarters ordered untraced, traced, traced,
-    // untraced, so that a drift over the run (a heap still growing, say)
-    // cancels out of the overhead, and adds a closed-loop quarter.
-    let phases = if traced { spec::TRACED_PHASES } else { 1 };
-    let phase_len = span / phases as u32;
+    // An untraced run makes closed-loop passes over the whole span. A
+    // traced run cuts it into open-loop quarters ordered untraced, traced,
+    // traced, untraced, so that a drift over the run (a heap still
+    // growing, say) cancels out of the overhead, and adds a closed-loop
+    // quarter.
+    let (phases, max_passes) = if traced { (spec::TRACED_PHASES, 0) } else { (0, spec::PASSES.1) };
+    let phase_len = span / spec::TRACED_PHASES as u32;
     let is_traced = |phase: usize| traced && (phase == 1 || phase == 2);
-    let inputs = Inputs::generate(w, seed, &mirror, phase_len, phases, connections);
+    let inputs = Inputs::generate(w, seed, &mirror, phase_len, phases, connections, max_passes);
     let mut oracle = Oracle::new(mirror.clone(), &graph, w.k_range);
 
     let mut trace = Trace::new(Instant::now(), traced);
@@ -590,8 +676,14 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
     let warmup: Vec<Vec<WireQuery>> =
         inputs.closed.iter().map(|s| s[..WARMUP_QUERIES].to_vec()).collect();
     warm.extend(closed_loop_phase(&served, &warmup, Duration::from_secs(60), false)?);
+    let mut tally = Tally::default();
+    verify(
+        &warm.iter().map(|(_, o)| o).collect::<Vec<_>>(),
+        &mut oracle,
+        &inputs.batches,
+        &mut tally,
+    );
 
-    let cpu_before = cpu::process_cpu()?;
     let mut phase_records = Vec::with_capacity(phases);
     for (p, schedules) in inputs.phases.iter().enumerate() {
         trace.set_enabled(is_traced(p));
@@ -600,19 +692,19 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         records.sort_by_key(|r| r.due);
         phase_records.push(records);
     }
-    let open_cpu = cpu::process_cpu()?.saturating_sub(cpu_before);
-    let open_answered: usize = phase_records.iter().map(|r| answered(r).count()).sum();
-    let closed_span = span / phases as u32;
+    let pass_cpu_ms = if traced {
+        None
+    } else {
+        Some(cpu_passes(&served, w, &inputs, span, &mut oracle, &mut tally)?)
+    };
     let closed = if traced {
-        closed_loop_phase(&served, &inputs.closed, closed_span, true)?
+        closed_loop_phase(&served, &inputs.closed, phase_len, true)?
     } else {
         Vec::new()
     };
     let (server_stats, tenant_stats, batch_stats) = read_stats(&served)?;
 
-    let mut tally = Tally::default();
-    let mut outcomes: Vec<&Outcome> = warm.iter().map(|(_, o)| o).collect();
-    outcomes.extend(phase_records.iter().flatten().map(|r| &r.outcome));
+    let mut outcomes: Vec<&Outcome> = phase_records.iter().flatten().map(|r| &r.outcome).collect();
     outcomes.extend(closed.iter().map(|(_, o)| o));
     verify(&outcomes, &mut oracle, &inputs.batches, &mut tally);
     let probe_times =
@@ -624,8 +716,27 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         phase_records.into_iter().enumerate().partition(|(p, _)| is_traced(*p));
     let first: &[Record] = &untraced_records.into_iter().flat_map(|(_, r)| r).collect::<Vec<_>>();
     let latencies = sorted(answered(first).map(|r| ms(r.latency())).collect());
-    report_latencies(w, first, &latencies, &closed);
-    let metrics = if traced {
+    let metrics = if let Some(passes) = pass_cpu_ms {
+        let raw: Vec<f64> = passes.iter().map(|&(cpu, _)| cpu).collect();
+        let probes: Vec<f64> = passes.iter().map(|&(_, probe)| probe).collect();
+        let at_ref = sorted(passes.iter().map(|&(cpu, probe)| cpu / probe).collect());
+        let at = |p: f64| percentile(&at_ref, p).unwrap_or(f64::NAN);
+        eprintln!(
+            "wirebench {}: {} closed-loop passes of {} queries; CPU per query: median {:.4} ms, \
+             clock probe median {:.4} ms; at the reference clock p25 {:.4} p50 {:.4} p75 {:.4} ms",
+            w.name,
+            passes.len(),
+            inputs.pass_share(w) * connections,
+            median(&raw),
+            median(&probes),
+            at(25.0),
+            median(&at_ref),
+            at(75.0)
+        );
+        let values = [median(&setup_times), median(&at_ref), peak_rss_mb()?];
+        END_TO_END.iter().zip(values).map(|(m, v)| (m.name, m.unit, v)).collect()
+    } else {
+        report_latencies(w, first, &latencies, &closed);
         let batches = if inputs.batches.is_empty() {
             layers::twin_batches(&mirror, seed)
         } else {
@@ -661,7 +772,7 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
         values.put("wire.query_p99_ms", at(&latencies, 99.0));
         let closed_answered =
             closed.iter().filter(|(_, o)| matches!(o, Outcome::Answered { .. })).count();
-        values.put("wire.throughput_qps", closed_answered as f64 / closed_span.as_secs_f64());
+        values.put("wire.throughput_qps", closed_answered as f64 / phase_len.as_secs_f64());
         values.put(
             "trace.overhead_pct",
             (at(&traced_latencies, 50.0) - at(&latencies, 50.0)) / at(&latencies, 50.0) * 100.0,
@@ -676,15 +787,7 @@ fn run(w: &'static Workload, seed: u64, seconds: u64, traced: bool) -> Result<Ru
                     .ok_or(format!("no value for {}", m.name))
             })
             .collect::<Result<Vec<_>, _>>()?
-    } else {
-        let values =
-            [median(&setup_times), ms(open_cpu) / open_answered.max(1) as f64, peak_rss_mb()?];
-        END_TO_END.iter().zip(values).map(|(m, v)| (m.name, m.unit, v)).collect()
     };
-    eprintln!(
-        "  open loop: {open_answered} answers, {:.3} s of process CPU",
-        open_cpu.as_secs_f64()
-    );
     for (name, unit, value) in &metrics {
         eprintln!("  {name:<34} {value:>14.4} {unit}");
         if !value.is_finite() {
