@@ -1,10 +1,19 @@
 //! Table 4 micro-bench + Section 6.2 ablation:
-//! per-vertex vs one-shot ego extraction, and classic vs bitmap
-//! truss decomposition inside ego-networks.
+//! per-vertex vs one-shot ego extraction, classic vs bitmap truss peeling
+//! inside ego-networks, and the full decomposition (what the indexes
+//! build from) vs the peel stopped at the k-truss (what a single-k query
+//! needs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sd_core::{AllEgoNetworks, EgoDecomposition, EgoNetwork};
+use sd_core::{AllEgoNetworks, EgoNetwork};
+use sd_graph::CsrGraph;
+use sd_truss::{
+    bitmap_ktruss, bitmap_truss_decomposition, classic_ktruss, ktruss_edges, truss_decomposition,
+};
+
+/// The threshold the k-bounded rows peel to: mid-range for this graph.
+const K: u32 = 4;
 
 fn bench_ego_phase(c: &mut Criterion) {
     let dataset = sd_datasets::dataset("wiki-vote-syn").expect("registry");
@@ -25,21 +34,19 @@ fn bench_ego_phase(c: &mut Criterion) {
         b.iter(|| AllEgoNetworks::build(g).heap_bytes())
     });
 
-    // Decomposition ablation on pre-extracted ego-networks.
+    // Kernel ablation on pre-extracted ego-networks: each row counts the
+    // edges a kernel leaves at trussness ≥ K, so every row does the same
+    // job and only the kernel and its form differ.
     let egos: Vec<EgoNetwork> = g.vertices().map(|v| EgoNetwork::extract(&g, v)).collect();
-    for (name, method) in
-        [("decomp_classic", EgoDecomposition::Classic), ("decomp_bitmap", EgoDecomposition::Bitmap)]
-    {
+    let mut row = |name: &str, kernel: &dyn Fn(&CsrGraph) -> usize| {
         group.bench_with_input(BenchmarkId::new(name, g.m()), &egos, |b, egos| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for ego in egos {
-                    acc += method.run(&ego.graph).max_trussness as u64;
-                }
-                acc
-            })
+            b.iter(|| egos.iter().map(|ego| kernel(&ego.graph)).sum::<usize>())
         });
-    }
+    };
+    row("decomp_classic", &|ego| ktruss_edges(&truss_decomposition(ego), K).len());
+    row("decomp_bitmap", &|ego| ktruss_edges(&bitmap_truss_decomposition(ego), K).len());
+    row("ktruss_classic", &|ego| classic_ktruss(ego, K).len());
+    row("ktruss_bitmap", &|ego| bitmap_ktruss(ego, K).len());
     group.finish();
 }
 

@@ -7,12 +7,12 @@ use std::time::Instant;
 
 use sd_graph::triangles::vertex_triangle_counts;
 use sd_graph::{CsrGraph, GraphBuilder};
-use sd_truss::truss_decomposition;
+use sd_truss::classic_ktruss;
 
 use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
 use crate::egonet::EgoNetwork;
-use crate::score::{social_contexts_of_ego, EgoDecomposition};
-use crate::topr::TopRCollector;
+use crate::score::social_contexts_of_ego;
+use crate::topr::{ContextCollector, TopRCollector};
 
 /// Outcome of graph sparsification, for the pruning-power reports
 /// (Section 4.1 quotes ~45% of edges removed at k = 5).
@@ -29,21 +29,16 @@ pub struct Sparsified {
 
 /// Property 1: an edge with `τ_G(e) < k + 1` belongs to no maximal connected
 /// k-truss of any ego-network, so dropping it (and, transitively, neighbors
-/// connected only through such edges) never changes any answer.
+/// connected only through such edges) never changes any answer. What is
+/// kept is the (k+1)-truss of `g`, peeled only that far.
 pub fn sparsify(g: &CsrGraph, k: u32) -> Sparsified {
-    let decomposition = truss_decomposition(g);
-    let mut builder = GraphBuilder::with_min_vertices(g.n());
-    let mut kept = 0usize;
-    for (e, &(u, v)) in g.edges().iter().enumerate() {
-        if decomposition.trussness[e] > k {
-            builder.add_edge(u, v);
-            kept += 1;
-        }
-    }
-    let graph = builder.extend_edges([]).build();
+    let kept = classic_ktruss(g, k + 1);
+    let graph = GraphBuilder::with_min_vertices(g.n())
+        .extend_edges(kept.iter().map(|&e| g.edge(e)))
+        .build();
     let vertices_isolated =
         g.vertices().filter(|&v| g.degree(v) > 0 && graph.degree(v) == 0).count();
-    Sparsified { graph, edges_removed: g.m() - kept, vertices_isolated }
+    Sparsified { graph, edges_removed: g.m() - kept.len(), vertices_isolated }
 }
 
 /// Lemma 2: `scorē(v) = min(⌊d(v)/k⌋, ⌊2·m_v / (k(k−1))⌋)` where `m_v` is the
@@ -106,9 +101,8 @@ pub(crate) fn bound_top_r_with(
     let mut order: Vec<u32> = (0..reduced.n() as u32).collect();
     order.sort_unstable_by(|&a, &b| bounds[b as usize].cmp(&bounds[a as usize]));
 
-    let mut collector = TopRCollector::new(config.r);
+    let mut collector = ContextCollector::new(config.r);
     let mut computations = 0usize;
-    let mut context_cache: Vec<(u32, Vec<Vec<u32>>)> = Vec::new();
     for &v in &order {
         let ub = bounds[v as usize];
         if let Some(min_score) = collector.min_score() {
@@ -118,24 +112,12 @@ pub(crate) fn bound_top_r_with(
         }
         // Property 1 guarantees the ego-network in G' yields the same social
         // contexts as in G.
-        let ego = EgoNetwork::extract(reduced, v);
-        let contexts = social_contexts_of_ego(&ego, config.k, EgoDecomposition::Classic);
+        collector.offer(v, social_contexts_of_ego(&EgoNetwork::extract(reduced, v), config.k));
         computations += 1;
-        if collector.offer(v, contexts.len() as u32) {
-            context_cache.push((v, contexts));
-        }
     }
 
-    let entries = finish_entries(collector, |v| {
-        context_cache
-            .iter()
-            .rev()
-            .find(|(u, _)| *u == v)
-            .map(|(_, c)| c.clone())
-            .unwrap_or_default()
-    });
     TopRResult {
-        entries,
+        entries: collector.into_entries(),
         metrics: SearchMetrics {
             score_computations: computations,
             elapsed: start.elapsed(),

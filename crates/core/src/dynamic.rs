@@ -19,9 +19,9 @@
 use std::sync::Arc;
 
 use sd_graph::{CowStats, CsrGraph, Dsu, DynamicGraph, GraphUpdate, VertexId};
-use sd_truss::truss_decomposition;
 
 use crate::egonet::EgoNetwork;
+use crate::score::decompose_ego;
 use crate::tsd::{max_spanning_forest, TsdBuilder, TsdIndex};
 
 /// A TSD-index that stays consistent while the graph mutates.
@@ -191,8 +191,7 @@ impl DynamicTsd {
     /// Recomputes the forest of a single vertex from its current ego-network.
     fn rebuild_vertex(&mut self, v: VertexId) {
         let ego = extract_ego_dynamic(&self.graph, v);
-        let decomposition = truss_decomposition(&ego.graph);
-        self.forests[v as usize] = max_spanning_forest(&ego, &decomposition);
+        self.forests[v as usize] = max_spanning_forest(&ego, &decompose_ego(&ego));
     }
 
     /// `score(v)` at threshold `k` (counting form of Algorithm 6).

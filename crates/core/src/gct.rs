@@ -1,5 +1,6 @@
 //! The GCT approach (Section 6): global-triangle-listing ego extraction,
-//! bitmap truss decomposition, and the compressed GCT-index.
+//! truss decomposition (bitmap kernel below its size ceiling), and the
+//! compressed GCT-index.
 //!
 //! The GCT-index compresses each vertex's TSD forest by collapsing every
 //! group of vertices connected through edges of one trussness level into a
@@ -14,21 +15,17 @@ use std::time::{Duration, Instant};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use sd_graph::{CsrGraph, Dsu, DynamicGraph, VertexId};
-use sd_truss::{truss_decomposition, vertex_trussness, TrussDecomposition};
+use sd_truss::{vertex_trussness, TrussDecomposition};
 
 use crate::bound::finish_entries;
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
 use crate::egonet::{AllEgoNetworks, EgoNetwork};
 use crate::error::DecodeError;
-use crate::score::EgoDecomposition;
+use crate::score::decompose_ego;
 use crate::topr::TopRCollector;
 
 /// Serialized-format magic ("GCT1").
 const MAGIC: u32 = 0x4743_5431;
-
-/// Ego-networks larger than this fall back from bitmap to classic peeling
-/// (the bitmap needs `n²` bits; 8192 vertices ≈ 8 MiB, a sane ceiling).
-pub const BITMAP_FALLBACK_THRESHOLD: usize = 8192;
 
 /// Per-vertex compressed structure: supernodes and superedges
 /// (Figure 7(b) of the paper).
@@ -236,8 +233,9 @@ pub struct GctIndex {
 }
 
 impl GctIndex {
-    /// Algorithm 7: one-shot ego extraction, bitmap truss decomposition,
-    /// then Algorithm 8 per vertex.
+    /// Algorithm 7: one-shot ego extraction, truss decomposition under the
+    /// ego kernel policy (bitmap below its size ceiling), then Algorithm 8
+    /// per vertex.
     pub fn build(g: &CsrGraph) -> Self {
         Self::build_with_stats(g).0
     }
@@ -256,12 +254,7 @@ impl GctIndex {
             stats.extraction += t1.elapsed();
 
             let t2 = Instant::now();
-            let method = if ego.graph.n() <= BITMAP_FALLBACK_THRESHOLD {
-                EgoDecomposition::Bitmap
-            } else {
-                EgoDecomposition::Classic
-            };
-            let decomposition = method.run(&ego.graph);
+            let decomposition = decompose_ego(&ego);
             let tau_v = vertex_trussness(&ego.graph, &decomposition);
             stats.decomposition += t2.elapsed();
 
@@ -409,7 +402,7 @@ impl GctIndex {
 /// Builds one GCT entry straight from a graph (testing/diagnostics helper).
 pub fn gct_entry_for(g: &CsrGraph, v: VertexId) -> GctEntry {
     let ego = EgoNetwork::extract(g, v);
-    let decomposition = truss_decomposition(&ego.graph);
+    let decomposition = decompose_ego(&ego);
     let tau_v = vertex_trussness(&ego.graph, &decomposition);
     GctEntry::from_ego(&ego, &decomposition, &tau_v)
 }
@@ -419,7 +412,7 @@ pub fn gct_entry_for(g: &CsrGraph, v: VertexId) -> GctEntry {
 /// the dynamic TSD path.
 pub fn dynamic_gct_entry_for(g: &DynamicGraph, v: VertexId) -> GctEntry {
     let ego = crate::dynamic::extract_ego_dynamic(g, v);
-    let decomposition = truss_decomposition(&ego.graph);
+    let decomposition = decompose_ego(&ego);
     let tau_v = vertex_trussness(&ego.graph, &decomposition);
     GctEntry::from_ego(&ego, &decomposition, &tau_v)
 }

@@ -92,13 +92,13 @@ pub use envelope::{
     BUNDLE_MAGIC, BUNDLE_VERSION, ENVELOPE_HEADER_BYTES, ENVELOPE_MAGIC, ENVELOPE_VERSION,
 };
 pub use error::{DecodeError, SearchError};
-pub use gct::{DynamicGct, GctIndex, BITMAP_FALLBACK_THRESHOLD};
+pub use gct::{DynamicGct, GctIndex};
 pub use hybrid::HybridIndex;
 pub use online::all_scores;
 pub use paper::{paper_figure18_graph, paper_figure1_edges, paper_figure1_graph};
 pub use parallel::pool_all_scores;
 pub use pool::{default_threads as default_pool_threads, Job, WorkerPool, MAX_POOL_THREADS};
-pub use score::{score, social_contexts, EgoDecomposition};
+pub use score::{score, social_contexts};
 pub use sd_graph::GraphUpdate;
 pub use service::{
     SearchService, ServiceStats, UpdateStats, UpdaterCow, AUTO_SMALL_GRAPH_EDGES,

@@ -8,36 +8,23 @@ use std::time::Instant;
 
 use sd_graph::CsrGraph;
 
-use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
+use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
 use crate::egonet::EgoNetwork;
-use crate::score::{social_contexts, social_contexts_of_ego, EgoDecomposition};
-use crate::topr::TopRCollector;
+use crate::score::social_contexts_of_ego;
+use crate::topr::ContextCollector;
 
 /// Algorithm 3: full scan of all vertices. Crate-internal: reachable
 /// through `OnlineEngine` (or, for one release, `compat::online_top_r`).
 pub(crate) fn online_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
     let start = Instant::now();
-    let mut collector = TopRCollector::new(config.r);
-    let mut computations = 0usize;
+    let mut collector = ContextCollector::new(config.r);
     for v in g.vertices() {
-        let ego = EgoNetwork::extract(g, v);
-        let contexts = social_contexts_of_ego(&ego, config.k, EgoDecomposition::Classic);
-        computations += 1;
-        collector.offer(v, contexts.len() as u32);
+        collector.offer(v, social_contexts_of_ego(&EgoNetwork::extract(g, v), config.k));
     }
-    let entries = collector
-        .into_sorted()
-        .into_iter()
-        .map(|(vertex, score)| TopREntry {
-            vertex,
-            score,
-            contexts: social_contexts(g, vertex, config.k),
-        })
-        .collect();
     TopRResult {
-        entries,
+        entries: collector.into_entries(),
         metrics: SearchMetrics {
-            score_computations: computations,
+            score_computations: g.n(),
             elapsed: start.elapsed(),
             engine: "",
             parallel: false,
@@ -50,10 +37,7 @@ pub(crate) fn online_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult
 /// the ground truth in tests.
 pub fn all_scores(g: &CsrGraph, k: u32) -> Vec<u32> {
     g.vertices()
-        .map(|v| {
-            let ego = EgoNetwork::extract(g, v);
-            social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32
-        })
+        .map(|v| social_contexts_of_ego(&EgoNetwork::extract(g, v), k).len() as u32)
         .collect()
 }
 

@@ -107,7 +107,7 @@ pub fn paper_figure18_graph() -> (CsrGraph, VertexId, &'static [&'static str; 9]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_truss::truss_decomposition;
+    use crate::score::decompose_ego;
 
     #[test]
     fn seventeen_vertices_like_example_2() {
@@ -134,7 +134,7 @@ mod tests {
             let ego = EgoNetwork::extract(&g, center);
             let la = ego.vertices.binary_search(&a).unwrap() as u32;
             let lb = ego.vertices.binary_search(&b).unwrap() as u32;
-            let d = truss_decomposition(&ego.graph);
+            let d = decompose_ego(&ego);
             d.edge(ego.graph.edge_id_between(la, lb).unwrap())
         };
 

@@ -6,9 +6,8 @@
 //! context assembly) is embarrassingly parallel. Two generations of the
 //! same design live here:
 //!
-//! * the original scoped-thread build helpers ([`all_scores_parallel`],
-//!   [`build_gct_parallel`]), which borrow the graph via
-//!   `crossbeam::scope`;
+//! * the original scoped-thread build helper ([`build_gct_parallel`]),
+//!   which borrows the graph via `crossbeam::scope`;
 //! * the 0.6 **query-path** scans ([`pool_all_scores`] and the pooled
 //!   Online/Bound `top_r` used by [`crate::OnlineEngine`] /
 //!   [`crate::BoundEngine`]), which run on the shared
@@ -22,18 +21,18 @@
 //! thread. Consequences:
 //!
 //! * [`pool_all_scores`] returns exactly [`crate::online::all_scores`];
-//! * the pooled Online `top_r` feeds the [`crate::TopRCollector`] in
-//!   vertex order — the identical offer sequence to the sequential scan —
-//!   so entries (vertices, scores, contexts) are byte-identical;
-//! * the pooled Bound `top_r` processes the upper-bound-sorted order in
-//!   fixed windows of [`BOUND_SCAN_WINDOW`] vertices: each window's scores
-//!   are computed in parallel, then *replayed* sequentially with the exact
-//!   per-vertex early-termination check of Algorithm 4, so the break point
-//!   and entries match the sequential search exactly. The only observable
-//!   difference is [`crate::SearchMetrics::score_computations`], which
-//!   becomes window-rounded (the scan may compute up to one window beyond
-//!   the sequential stop) — still deterministic for a given graph and
-//!   query, at any thread count.
+//! * the pooled Online and Bound `top_r` walk their vertex order (vertex
+//!   order for Online, the upper-bound-sorted order for Bound) in fixed
+//!   windows of [`SCAN_WINDOW`] vertices: each window's social contexts
+//!   are computed in parallel, then *replayed* sequentially into the
+//!   collector — for Bound with the exact per-vertex early-termination
+//!   check of Algorithm 4 — so the offers, the break point and the entries
+//!   (vertices, scores, contexts) match the sequential search exactly. The
+//!   only observable difference is Bound's
+//!   [`crate::SearchMetrics::score_computations`], which becomes
+//!   window-rounded (the scan may compute up to one window beyond the
+//!   sequential stop) — still deterministic for a given graph and query,
+//!   at any thread count.
 //!
 //! This is a beyond-the-paper extension (the paper's implementation is
 //! single-threaded) and is benchmarked in `sd-bench` (`scalability.rs`).
@@ -43,56 +42,20 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use sd_graph::CsrGraph;
-use sd_truss::{truss_decomposition, vertex_trussness};
+use sd_graph::{CsrGraph, VertexId};
+use sd_truss::vertex_trussness;
 
-use crate::bound::{finish_entries, sparsify, upper_bounds, BoundOptions};
+use crate::bound::{sparsify, upper_bounds, BoundOptions};
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
 use crate::egonet::EgoNetwork;
 use crate::gct::{GctEntry, GctIndex};
 use crate::pool::{Job, WorkerPool};
-use crate::score::{social_contexts, social_contexts_of_ego, EgoDecomposition};
-use crate::topr::TopRCollector;
+use crate::score::{decompose_ego, social_contexts_of_ego};
+use crate::topr::ContextCollector;
 
 /// Number of worker threads to use: `available_parallelism`, capped.
 fn worker_count(cap: usize) -> usize {
     std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(cap).max(1)
-}
-
-/// Computes `score(v)` for every vertex in parallel; result identical to
-/// [`crate::online::all_scores`].
-pub fn all_scores_parallel(g: &CsrGraph, k: u32) -> Vec<u32> {
-    let n = g.n();
-    let threads = worker_count(16);
-    let mut scores = vec![0u32; n];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    const CHUNK: usize = 256;
-    let slots = crate::lock_order::SCAN_CHUNK.mutex(scores.chunks_mut(CHUNK).collect::<Vec<_>>());
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let chunk_idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let start = chunk_idx * CHUNK;
-                if start >= n {
-                    break;
-                }
-                // Detach this chunk's slot; chunks are claimed exactly once.
-                let slot = {
-                    let mut guard = slots.lock(); // lock: scan.chunk
-                    std::mem::take(&mut guard[chunk_idx])
-                };
-                for (offset, out) in slot.iter_mut().enumerate() {
-                    let v = (start + offset) as u32;
-                    let ego = EgoNetwork::extract(g, v);
-                    *out = social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32;
-                }
-            });
-        }
-    })
-    .expect("worker panicked"); // sd-lint: allow(no-panic) re-raises a scoped worker's panic on the caller
-    drop(slots);
-    scores
 }
 
 /// Builds the GCT-index in parallel (identical output to
@@ -121,7 +84,7 @@ pub fn build_gct_parallel(g: &CsrGraph) -> GctIndex {
                 for (offset, out) in slot.iter_mut().enumerate() {
                     let v = (start + offset) as u32;
                     let ego = all.ego_graph(g, v);
-                    let decomposition = truss_decomposition(&ego.graph);
+                    let decomposition = decompose_ego(&ego);
                     let tau_v = vertex_trussness(&ego.graph, &decomposition);
                     *out = GctEntry::from_ego(&ego, &decomposition, &tau_v);
                 }
@@ -133,72 +96,110 @@ pub fn build_gct_parallel(g: &CsrGraph) -> GctIndex {
     GctIndex::from_entries(entries)
 }
 
-/// Vertices per job in the pooled full scan ([`pool_all_scores`] and the
-/// pooled Online `top_r`). Fixed so chunk boundaries — and therefore
-/// results — never depend on the thread count.
+/// Vertices per job in [`pool_all_scores`]. Fixed so chunk boundaries —
+/// and therefore results — never depend on the thread count.
 pub const SCAN_CHUNK: usize = 256;
 
-/// Vertices per parallel window in the pooled Bound scan: scores for one
-/// window are computed in parallel, then replayed through Algorithm 4's
-/// sequential early-termination check. Fixed for the same reason as
-/// [`SCAN_CHUNK`]; the window is also the granularity of the
-/// `score_computations` rounding documented in the [module docs](self).
-pub const BOUND_SCAN_WINDOW: usize = 1024;
+/// Vertices per parallel window in the pooled Online and Bound scans: the
+/// contexts for one window are computed in parallel, then replayed through
+/// the collector in order (and, for Bound, through Algorithm 4's
+/// early-termination check). Fixed for the same reason as [`SCAN_CHUNK`];
+/// the window is also the granularity of Bound's `score_computations`
+/// rounding documented in the [module docs](self), and it bounds how many
+/// vertices' contexts are held at once.
+pub const SCAN_WINDOW: usize = 1024;
 
-/// Vertices per job within one Bound window.
-const BOUND_SCAN_CHUNK: usize = 128;
+/// Vertices per job within one window.
+const WINDOW_CHUNK: usize = 128;
 
-/// Computes `score(v)` for a list of vertices, one chunk of `chunk_size`
-/// vertices per pool job, reducing in chunk order. Deterministic: output
-/// `i` is the score of `vertices[i]` regardless of thread count.
-fn pool_scores_of(
+/// Applies `f` to the ego-network of each of `vertices`, one chunk of
+/// `chunk_size` vertices per pool job, reducing in chunk order.
+/// Deterministic: output `i` belongs to `vertices[i]` regardless of thread
+/// count.
+fn pool_map<T: Send + 'static>(
     pool: &WorkerPool,
     g: &Arc<CsrGraph>,
-    k: u32,
-    vertices: &[u32],
+    vertices: &[VertexId],
     chunk_size: usize,
-) -> Vec<u32> {
+    f: impl Fn(&EgoNetwork) -> T + Send + Sync + 'static,
+) -> Vec<T> {
     let total = vertices.len();
     if total == 0 {
         return Vec::new();
     }
     let chunks = total.div_ceil(chunk_size);
-    let slots: Arc<Vec<Mutex<Vec<u32>>>> =
+    let slots: Arc<Vec<Mutex<Vec<T>>>> =
         Arc::new((0..chunks).map(|_| crate::lock_order::SCAN_CHUNK.mutex(Vec::new())).collect());
+    let f = Arc::new(f);
     let mut jobs: Vec<Job> = Vec::with_capacity(chunks);
     for c in 0..chunks {
         let lo = c * chunk_size;
         let hi = (lo + chunk_size).min(total);
-        let mine: Vec<u32> = vertices[lo..hi].to_vec();
-        let g = g.clone();
-        let slots = slots.clone();
+        let mine: Vec<VertexId> = vertices[lo..hi].to_vec();
+        let (g, slots, f) = (g.clone(), slots.clone(), f.clone());
         jobs.push(Box::new(move || {
-            let mut out = Vec::with_capacity(mine.len());
-            for &v in &mine {
-                let ego = EgoNetwork::extract(&g, v);
-                out.push(social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32);
-            }
+            let out: Vec<T> = mine.iter().map(|&v| f(&EgoNetwork::extract(&g, v))).collect();
             *slots[c].lock() = out; // lock: scan.chunk
         }));
     }
     pool.run_all(jobs);
-    let mut scores = Vec::with_capacity(total);
+    let mut results = Vec::with_capacity(total);
     for slot in slots.iter() {
-        scores.append(&mut slot.lock()); // lock: scan.chunk
+        results.append(&mut slot.lock()); // lock: scan.chunk
     }
-    scores
+    results
 }
 
 /// Computes `score(v)` for every vertex on the shared worker pool; result
 /// identical to [`crate::online::all_scores`] at any thread count.
 pub fn pool_all_scores(pool: &WorkerPool, g: &Arc<CsrGraph>, k: u32) -> Vec<u32> {
-    let vertices: Vec<u32> = (0..g.n() as u32).collect();
-    pool_scores_of(pool, g, k, &vertices, SCAN_CHUNK)
+    let vertices: Vec<VertexId> = (0..g.n() as VertexId).collect();
+    pool_map(pool, g, &vertices, SCAN_CHUNK, move |ego| social_contexts_of_ego(ego, k).len() as u32)
 }
 
-/// Algorithm 3 with the per-vertex score loop data-parallel on `pool`.
+/// The scan Online and Bound share: computes the social contexts of
+/// `order` window by window on `pool`, then replays each window through
+/// `collector` in order, stopping before the first vertex whose bound
+/// cannot beat the current floor (no vertex, without `bounds`). Returns
+/// the number of score computations, which is window-rounded.
+fn scan_windows(
+    pool: &WorkerPool,
+    g: &Arc<CsrGraph>,
+    k: u32,
+    order: &[VertexId],
+    bounds: Option<&[u32]>,
+    collector: &mut ContextCollector,
+) -> usize {
+    let prunes = |collector: &ContextCollector, v: VertexId| match (bounds, collector.min_score()) {
+        (Some(bounds), Some(min_score)) => bounds[v as usize] <= min_score,
+        _ => false,
+    };
+    let mut computations = 0usize;
+    for window in order.chunks(SCAN_WINDOW) {
+        // The window head has the best remaining bound; if even it cannot
+        // beat the floor, the sequential scan would break here without
+        // computing anything — so neither do we.
+        if prunes(collector, window[0]) {
+            break;
+        }
+        let contexts =
+            pool_map(pool, g, window, WINDOW_CHUNK, move |ego| social_contexts_of_ego(ego, k));
+        computations += window.len();
+        // Replay the sequential loop over the precomputed window:
+        // identical offers, identical break point.
+        for (&v, contexts) in window.iter().zip(contexts) {
+            if prunes(collector, v) {
+                return computations;
+            }
+            collector.offer(v, contexts);
+        }
+    }
+    computations
+}
+
+/// Algorithm 3 with the per-vertex loop data-parallel on `pool`.
 /// Byte-identical to [`crate::online::online_top_r`]: the collector is fed
-/// in vertex order with the same scores, and `score_computations` is `n`
+/// in vertex order with the same contexts, and `score_computations` is `n`
 /// either way (the full scan computes everything regardless).
 pub(crate) fn online_top_r_pooled(
     pool: &WorkerPool,
@@ -206,16 +207,13 @@ pub(crate) fn online_top_r_pooled(
     config: &DiversityConfig,
 ) -> TopRResult {
     let start = Instant::now();
-    let scores = pool_all_scores(pool, g, config.k);
-    let mut collector = TopRCollector::new(config.r);
-    for (v, &score) in scores.iter().enumerate() {
-        collector.offer(v as u32, score);
-    }
-    let entries = finish_entries(collector, |v| social_contexts(g, v, config.k));
+    let order: Vec<VertexId> = (0..g.n() as VertexId).collect();
+    let mut collector = ContextCollector::new(config.r);
+    let computations = scan_windows(pool, g, config.k, &order, None, &mut collector);
     TopRResult {
-        entries,
+        entries: collector.into_entries(),
         metrics: SearchMetrics {
-            score_computations: g.n(),
+            score_computations: computations,
             elapsed: start.elapsed(),
             engine: "",
             parallel: true,
@@ -242,41 +240,14 @@ pub(crate) fn bound_top_r_pooled(
     } else {
         vec![u32::MAX; reduced.n()]
     };
-    let mut order: Vec<u32> = (0..reduced.n() as u32).collect();
+    let mut order: Vec<VertexId> = (0..reduced.n() as VertexId).collect();
     order.sort_unstable_by(|&a, &b| bounds[b as usize].cmp(&bounds[a as usize]));
 
-    let mut collector = TopRCollector::new(config.r);
-    let mut computations = 0usize;
-    let mut pos = 0usize;
-    'windows: while pos < order.len() {
-        let end = (pos + BOUND_SCAN_WINDOW).min(order.len());
-        // The window head has the best remaining bound; if even it cannot
-        // beat the floor, the sequential scan would break here without
-        // computing anything — so neither do we.
-        if let Some(min_score) = collector.min_score() {
-            if bounds[order[pos] as usize] <= min_score {
-                break;
-            }
-        }
-        let window = &order[pos..end];
-        let scores = pool_scores_of(pool, &reduced, config.k, window, BOUND_SCAN_CHUNK);
-        computations += window.len();
-        // Replay Algorithm 4's sequential loop over the precomputed window:
-        // identical offers, identical break point.
-        for (i, &v) in window.iter().enumerate() {
-            if let Some(min_score) = collector.min_score() {
-                if bounds[v as usize] <= min_score {
-                    break 'windows;
-                }
-            }
-            collector.offer(v, scores[i]);
-        }
-        pos = end;
-    }
-
-    let entries = finish_entries(collector, |v| social_contexts(&reduced, v, config.k));
+    let mut collector = ContextCollector::new(config.r);
+    let computations =
+        scan_windows(pool, &reduced, config.k, &order, Some(&bounds), &mut collector);
     TopRResult {
-        entries,
+        entries: collector.into_entries(),
         metrics: SearchMetrics {
             score_computations: computations,
             elapsed: start.elapsed(),
@@ -291,14 +262,6 @@ mod tests {
     use super::*;
     use crate::online::all_scores;
     use crate::paper::paper_figure1_graph;
-
-    #[test]
-    fn parallel_scores_match_serial() {
-        let (g, _, _) = paper_figure1_graph();
-        for k in [2, 4] {
-            assert_eq!(all_scores_parallel(&g, k), all_scores(&g, k), "k={k}");
-        }
-    }
 
     #[test]
     fn pooled_scores_match_serial_at_any_thread_count() {
@@ -363,7 +326,7 @@ mod tests {
         let a = bound_top_r_pooled(&WorkerPool::new(2), &g, &cfg, BoundOptions::default());
         let b = bound_top_r_pooled(&WorkerPool::new(4), &g, &cfg, BoundOptions::default());
         assert_eq!(a.metrics.score_computations, b.metrics.score_computations);
-        assert_eq!(a.metrics.score_computations, g.n().min(BOUND_SCAN_WINDOW));
+        assert_eq!(a.metrics.score_computations, g.n().min(SCAN_WINDOW));
     }
 
     #[test]

@@ -1,52 +1,70 @@
-//! Computing `score(v)` and the social contexts (Algorithm 2).
+//! Computing `score(v)` and the social contexts (Algorithm 2), and the one
+//! place that picks the truss kernel for an ego-network.
+//!
+//! The policy: an ego-network of at most `BITMAP_MAX_VERTICES` (8192) vertices
+//! is peeled by the bitmap kernel of Section 6.2, a larger one by the
+//! classic kernel of Algorithm 1 (the bitmap needs `n²` bits). It comes in
+//! two forms:
+//!
+//! * `decompose_ego` — the full truss decomposition, for the indexes that
+//!   keep every level: the TSD and GCT builds and their dynamic repairs;
+//! * `ego_ktruss` — only the k-truss, for every path that answers one `k`:
+//!   Algorithm 2 here, and through it Online, Bound, the pooled scans and
+//!   Hybrid's contexts. Its peel stops once every remaining edge has
+//!   support ≥ `k − 2`, so levels above `k` are never peeled.
 
-use sd_graph::{CsrGraph, VertexId};
+use sd_graph::{CsrGraph, EdgeId, VertexId};
 use sd_truss::{
-    bitmap_truss_decomposition, maximal_connected_ktrusses, truss_decomposition, TrussDecomposition,
+    bitmap_ktruss, bitmap_truss_decomposition, classic_ktruss, edge_components,
+    truss_decomposition, TrussDecomposition,
 };
 
 use crate::egonet::EgoNetwork;
 
-/// Which truss-decomposition implementation to run inside ego-networks:
-/// the classic peeling of Algorithm 1 or the bitmap variant of Section 6.2.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EgoDecomposition {
-    /// Classic peeling with adjacency binary search (used by TSD).
-    #[default]
-    Classic,
-    /// Bitmap-accelerated peeling (used by GCT).
-    Bitmap,
+/// Ego-networks with more vertices than this are peeled by the classic
+/// kernel instead of the bitmap one (the bitmap needs `n²` bits; 8192
+/// vertices ≈ 8 MiB, a sane ceiling).
+const BITMAP_MAX_VERTICES: usize = 8192;
+
+/// Whether the bitmap kernel peels an ego-network of `n` vertices.
+fn uses_bitmap(n: usize) -> bool {
+    n <= BITMAP_MAX_VERTICES
 }
 
-impl EgoDecomposition {
-    /// Runs the selected decomposition on an ego-network graph.
-    pub fn run(self, ego: &CsrGraph) -> TrussDecomposition {
-        match self {
-            EgoDecomposition::Classic => truss_decomposition(ego),
-            EgoDecomposition::Bitmap => bitmap_truss_decomposition(ego),
-        }
+/// The full truss decomposition of an ego-network, by the kernel the
+/// policy picks.
+pub(crate) fn decompose_ego(ego: &EgoNetwork) -> TrussDecomposition {
+    if uses_bitmap(ego.graph.n()) {
+        bitmap_truss_decomposition(&ego.graph)
+    } else {
+        truss_decomposition(&ego.graph)
     }
 }
 
-/// Algorithm 2 on a pre-extracted ego-network: truss-decomposes it, keeps
-/// edges with trussness ≥ k, and returns the connected components as social
-/// contexts in **global** vertex ids.
-pub fn social_contexts_of_ego(
-    ego: &EgoNetwork,
-    k: u32,
-    method: EgoDecomposition,
-) -> Vec<Vec<VertexId>> {
-    let decomposition = method.run(&ego.graph);
-    maximal_connected_ktrusses(&ego.graph, &decomposition, k)
+/// The k-truss edges (local ids) of an ego-network, by the kernel the
+/// policy picks, peeled only up to `k`.
+fn ego_ktruss(ego: &EgoNetwork, k: u32) -> Vec<EdgeId> {
+    if uses_bitmap(ego.graph.n()) {
+        bitmap_ktruss(&ego.graph, k)
+    } else {
+        classic_ktruss(&ego.graph, k)
+    }
+}
+
+/// Algorithm 2 on a pre-extracted ego-network: peels it to its k-truss and
+/// returns the connected components as social contexts in **global**
+/// vertex ids.
+pub fn social_contexts_of_ego(ego: &EgoNetwork, k: u32) -> Vec<Vec<VertexId>> {
+    edge_components(&ego.graph, &ego_ktruss(ego, k))
         .into_iter()
         .map(|component| ego.to_global(&component))
         .collect()
 }
 
-/// Algorithm 2: extracts `GN(v)`, truss-decomposes it, and returns `SC(v)`.
+/// Algorithm 2: extracts `GN(v)`, peels it to its k-truss, and returns
+/// `SC(v)`.
 pub fn social_contexts(g: &CsrGraph, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
-    let ego = EgoNetwork::extract(g, v);
-    social_contexts_of_ego(&ego, k, EgoDecomposition::Classic)
+    social_contexts_of_ego(&EgoNetwork::extract(g, v), k)
 }
 
 /// `score(v) = |SC(v)|` (Definition 3).
@@ -109,16 +127,37 @@ mod tests {
         assert_eq!(score(&g, 0, 2), 0);
     }
 
+    /// An ego-network past the bitmap ceiling takes the classic kernel and
+    /// gives the same answers.
     #[test]
-    fn bitmap_and_classic_agree() {
-        let (g, v, _) = paper_figure1_graph();
-        let ego = EgoNetwork::extract(&g, v);
-        for k in 2..=6 {
-            assert_eq!(
-                social_contexts_of_ego(&ego, k, EgoDecomposition::Classic),
-                social_contexts_of_ego(&ego, k, EgoDecomposition::Bitmap),
-                "k={k}"
-            );
+    fn large_ego_takes_the_classic_kernel() {
+        let leaves = BITMAP_MAX_VERTICES as u32 + 1;
+        // Hub 0; among its neighbours a 4-clique {1..4} and a triangle
+        // {10, 11, 12}.
+        let g = GraphBuilder::new()
+            .extend_edges((1..=leaves).map(|u| (0, u)))
+            .extend_edges([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+            .extend_edges([(10, 11), (10, 12), (11, 12)])
+            .build();
+        let ego = EgoNetwork::extract(&g, 0);
+        assert!(!uses_bitmap(ego.graph.n()));
+        assert_eq!(decompose_ego(&ego), truss_decomposition(&ego.graph));
+        let scores: Vec<u32> = (2..=5).map(|k| score(&g, 0, k)).collect();
+        assert_eq!(scores, [2, 2, 1, 0]);
+    }
+
+    /// Both forms agree with the classic full decomposition on every
+    /// ego-network of Figure 1, at every k.
+    #[test]
+    fn both_forms_match_the_classic_decomposition() {
+        let (g, _, _) = paper_figure1_graph();
+        for v in g.vertices() {
+            let ego = EgoNetwork::extract(&g, v);
+            let classic = truss_decomposition(&ego.graph);
+            assert_eq!(decompose_ego(&ego), classic, "v={v}");
+            for k in 2..=6 {
+                assert_eq!(ego_ktruss(&ego, k), sd_truss::ktruss_edges(&classic, k), "v={v} k={k}");
+            }
         }
     }
 }

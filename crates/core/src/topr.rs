@@ -6,9 +6,11 @@
 //! is what makes the early-termination tests (`ub ≤ min score`) sound.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use sd_graph::VertexId;
+
+use crate::config::TopREntry;
 
 /// Accumulates the top `r` `(vertex, score)` pairs.
 #[derive(Clone, Debug)]
@@ -42,19 +44,25 @@ impl TopRCollector {
 
     /// Offers a candidate; returns whether it was kept.
     pub fn offer(&mut self, vertex: VertexId, score: u32) -> bool {
+        self.admit(vertex, score).is_some()
+    }
+
+    /// Offers a candidate: `None` if it was turned away, else
+    /// `Some(displaced)`, naming the entry it pushed out, if any.
+    fn admit(&mut self, vertex: VertexId, score: u32) -> Option<Option<VertexId>> {
         if self.heap.len() < self.r {
             self.heap.push(Reverse((score, vertex)));
-            return true;
+            return Some(None);
         }
         // Strictly-greater replacement, as in the paper.
         // sd-lint: allow(no-panic) the heap is full here and new() asserts r >= 1
         let &Reverse((min_score, _)) = self.heap.peek().expect("full collector");
         if score > min_score {
-            self.heap.pop();
+            let displaced = self.heap.pop().map(|Reverse((_, v))| v);
             self.heap.push(Reverse((score, vertex)));
-            true
+            Some(displaced)
         } else {
-            false
+            None
         }
     }
 
@@ -64,6 +72,50 @@ impl TopRCollector {
             self.heap.into_iter().map(|Reverse((s, v))| (v, s)).collect();
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
+    }
+}
+
+/// A [`TopRCollector`] that also keeps the social contexts of the vertices
+/// it holds, keyed by vertex, so a scan answers with the contexts it
+/// already computed instead of computing them again. Contexts of a
+/// displaced entry are dropped with it.
+pub(crate) struct ContextCollector {
+    collector: TopRCollector,
+    contexts: HashMap<VertexId, Vec<Vec<VertexId>>>,
+}
+
+impl ContextCollector {
+    /// Collector for `r ≥ 1` entries.
+    pub(crate) fn new(r: usize) -> Self {
+        ContextCollector { collector: TopRCollector::new(r), contexts: HashMap::new() }
+    }
+
+    /// See [`TopRCollector::min_score`].
+    pub(crate) fn min_score(&self) -> Option<u32> {
+        self.collector.min_score()
+    }
+
+    /// Offers `vertex`, whose score is the number of its `contexts`.
+    pub(crate) fn offer(&mut self, vertex: VertexId, contexts: Vec<Vec<VertexId>>) {
+        if let Some(displaced) = self.collector.admit(vertex, contexts.len() as u32) {
+            if let Some(d) = displaced {
+                self.contexts.remove(&d);
+            }
+            self.contexts.insert(vertex, contexts);
+        }
+    }
+
+    /// Finishes: entries sorted as [`TopRCollector::into_sorted`].
+    pub(crate) fn into_entries(mut self) -> Vec<TopREntry> {
+        self.collector
+            .into_sorted()
+            .into_iter()
+            .map(|(vertex, score)| TopREntry {
+                vertex,
+                score,
+                contexts: self.contexts.remove(&vertex).unwrap_or_default(),
+            })
+            .collect()
     }
 }
 
@@ -97,6 +149,22 @@ mod tests {
         assert_eq!(c.min_score(), None);
         c.offer(1, 4);
         assert_eq!(c.min_score(), Some(4));
+    }
+
+    #[test]
+    fn context_collector_keeps_only_held_contexts() {
+        let mut c = ContextCollector::new(2);
+        for v in 0..4u32 {
+            // Vertex v has v + 1 contexts, so each offer displaces the weakest.
+            c.offer(v, (0..=v).map(|i| vec![i]).collect());
+        }
+        assert_eq!(c.contexts.len(), 2, "displaced contexts are dropped");
+        let entries = c.into_entries();
+        assert_eq!(
+            entries.iter().map(|e| (e.vertex, e.score)).collect::<Vec<_>>(),
+            [(3, 4), (2, 3)]
+        );
+        assert_eq!(entries[1].contexts, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]

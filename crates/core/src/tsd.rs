@@ -17,12 +17,12 @@ use std::time::Instant;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use sd_graph::{CsrGraph, Dsu, VertexId};
-use sd_truss::truss_decomposition;
 
 use crate::bound::finish_entries;
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
 use crate::egonet::EgoNetwork;
 use crate::error::DecodeError;
+use crate::score::decompose_ego;
 use crate::topr::TopRCollector;
 
 /// Serialized-format magic ("TSD1").
@@ -77,7 +77,7 @@ impl TsdIndex {
             let ego = EgoNetwork::extract(g, v);
             stats.extraction += t0.elapsed();
             let t1 = Instant::now();
-            let decomposition = truss_decomposition(&ego.graph);
+            let decomposition = decompose_ego(&ego);
             stats.decomposition += t1.elapsed();
             let t2 = Instant::now();
             builder.push_vertex_decomposed(&ego, &decomposition);
@@ -343,8 +343,7 @@ impl TsdBuilder {
     /// Computes the maximum spanning forest of the ego-network's
     /// trussness-weighted graph and appends it.
     pub fn push_vertex(&mut self, ego: &EgoNetwork) {
-        let decomposition = truss_decomposition(&ego.graph);
-        self.push_vertex_decomposed(ego, &decomposition);
+        self.push_vertex_decomposed(ego, &decompose_ego(ego));
     }
 
     /// As [`Self::push_vertex`] with a precomputed decomposition (lets the

@@ -11,7 +11,7 @@
 //!   algorithm, per-edge support, and per-vertex triangle counts.
 //! * [`Dsu`] — union-find with path halving and union by size.
 //! * [`BitSet`] — a fixed-capacity bitmap with word-level intersection,
-//!   the workhorse of the GCT bitmap truss decomposition.
+//!   the workhorse of the bitmap truss kernel.
 //! * [`PeelingBuckets`] — the bin-sort bucket queue used by both k-core and
 //!   k-truss peeling (O(1) pop-min and decrease-key).
 //! * [`edgelist`] — SNAP-style edge-list text I/O.

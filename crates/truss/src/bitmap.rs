@@ -1,28 +1,40 @@
 //! Bitmap-based truss decomposition (Section 6.2 of the paper).
 //!
-//! Designed for ego-networks: every vertex's adjacency row becomes a bitmap
-//! of `n` bits, edge support is `popcount(row(u) AND row(v))`, and the
-//! peeling loop enumerates surviving triangles through the same word-level
-//! AND — dead edges disappear from all future intersections the moment their
-//! bits are cleared. This replaces the hash probing of the classic algorithm
-//! with straight-line word operations, the speed-up reported in Table 4.
+//! Every vertex's adjacency row becomes a bitmap of `n` bits, edge support
+//! is `popcount(row(u) AND row(v))`, and the peeling loop enumerates
+//! surviving triangles through the same word-level AND — dead edges
+//! disappear from all future intersections the moment their bits are
+//! cleared. This replaces the hash probing of the classic algorithm with
+//! straight-line word operations, the speed-up reported in Table 4.
 //!
-//! Memory is `n²` bits, so this is intended for graphs of at most a few tens
-//! of thousands of vertices (ego-networks); use
-//! [`crate::decompose::truss_decomposition`] for whole graphs.
+//! Like the classic kernel, the peel takes a level cap:
+//! [`bitmap_truss_decomposition`] runs it to the end and [`bitmap_ktruss`]
+//! stops at the k-truss. Memory is `n²` bits, so the kernel suits graphs
+//! of at most a few thousand vertices; ego-networks take it up to a size
+//! ceiling, above which they fall back to [`crate::decompose`].
 
-use sd_graph::{BitSet, CsrGraph, PeelingBuckets};
+use sd_graph::{BitSet, CsrGraph, EdgeId};
 
-use crate::decompose::TrussDecomposition;
+use crate::decompose::{ktruss_cap, Peel, TrussDecomposition, FULL_PEEL};
 
 /// Runs truss decomposition on `g` using adjacency bitmaps.
 /// Produces exactly the same trussness as the peeling algorithm of
 /// [`crate::decompose::truss_decomposition`] (property-tested).
 pub fn bitmap_truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
+    bitmap_peel(g, FULL_PEEL).into_decomposition()
+}
+
+/// Ids of the edges of the k-truss of `g`, ascending, by bitmap peeling
+/// stopped at support level `k − 2`; equal to [`crate::decompose::classic_ktruss`].
+pub fn bitmap_ktruss(g: &CsrGraph, k: u32) -> Vec<EdgeId> {
+    bitmap_peel(g, ktruss_cap(k)).into_live_edges()
+}
+
+/// The bitmap peeling loop, stopped at support level `cap`.
+fn bitmap_peel(g: &CsrGraph, cap: u32) -> Peel {
     let n = g.n();
-    let m = g.m();
-    if m == 0 {
-        return TrussDecomposition { trussness: Vec::new(), max_trussness: 0 };
+    if g.m() == 0 {
+        return Peel::new(&[], cap);
     }
 
     let mut bits: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
@@ -38,13 +50,9 @@ pub fn bitmap_truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
         .map(|&(u, v)| bits[u as usize].intersection_count(&bits[v as usize]) as u32)
         .collect();
 
-    let mut buckets = PeelingBuckets::new(&support);
-    let mut trussness = vec![2u32; m];
-    let mut level = 0u32;
+    let mut peel = Peel::new(&support, cap);
     let mut common = Vec::new();
-    while let Some((e, key)) = buckets.pop_min() {
-        level = level.max(key);
-        trussness[e as usize] = level + 2;
+    while let Some(e) = peel.next() {
         let (u, v) = g.edge(e);
         bits[u as usize].clear(v as usize);
         bits[v as usize].clear(u as usize);
@@ -54,12 +62,11 @@ pub fn bitmap_truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
             // Both edges exist and are alive: their bits are still set.
             let e_uw = g.edge_id_between(u, w).expect("bit implies edge"); // sd-lint: allow(no-panic) a set bit in both bitmaps means the edge is live
             let e_vw = g.edge_id_between(v, w).expect("bit implies edge"); // sd-lint: allow(no-panic) a set bit in both bitmaps means the edge is live
-            buckets.decrease_key_clamped(e_uw, level);
-            buckets.decrease_key_clamped(e_vw, level);
+            peel.lose_support(e_uw);
+            peel.lose_support(e_vw);
         }
     }
-
-    TrussDecomposition { trussness, max_trussness: level + 2 }
+    peel
 }
 
 #[cfg(test)]

@@ -1,10 +1,16 @@
-//! Truss decomposition (Algorithm 1 of the paper).
+//! Truss decomposition (Algorithm 1 of the paper) and its k-bounded form.
 //!
 //! Peels edges in ascending support with the bin-sort bucket queue: the edge
 //! of minimum support `s` gets trussness `s + 2` (clamped at the current
 //! level), and every triangle it participated in loses one unit of support on
 //! its two surviving edges. Runtime `O(Σ_{(u,v)∈E} min(d(u), d(v)))` plus the
 //! initial support computation — the bound quoted in Lemma 1/Theorem 2.
+//!
+//! The peel takes a level cap. [`truss_decomposition`] runs it to the end;
+//! [`classic_ktruss`] stops once the minimum remaining support reaches
+//! `k − 2`, so the edges left are exactly the k-truss and nothing above `k`
+//! is peeled. This is the classic kernel; [`crate::bitmap`] has the bitmap
+//! one, on the same peel.
 
 use sd_graph::triangles::edge_support;
 use sd_graph::{CsrGraph, EdgeId, PeelingBuckets};
@@ -26,44 +32,113 @@ impl TrussDecomposition {
     }
 }
 
-/// Runs truss decomposition on `g`, computing supports first.
-pub fn truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
-    let support = edge_support(g);
-    truss_decomposition_with_support(g, &support)
+/// One run of the peeling loop both kernels share, stopped at a support
+/// level cap: it owns the bucket queue and the trussness of every edge
+/// peeled so far, while the kernel finds the triangles each peeled edge
+/// breaks.
+pub(crate) struct Peel {
+    buckets: PeelingBuckets,
+    /// Trussness of every peeled edge; [`UNPEELED`] for the rest.
+    trussness: Vec<u32>,
+    /// The highest support level peeled.
+    level: u32,
+    cap: u32,
 }
 
-/// Runs truss decomposition with precomputed per-edge supports (callers that
-/// already listed triangles — e.g. the GCT builder — reuse them here).
-pub fn truss_decomposition_with_support(g: &CsrGraph, support: &[u32]) -> TrussDecomposition {
-    debug_assert_eq!(support.len(), g.m());
-    let m = g.m();
-    let mut buckets = PeelingBuckets::new(support);
-    let mut alive = vec![true; m];
-    let mut trussness = vec![2u32; m];
-    let mut level = 0u32;
+/// Trussness placeholder of an edge not peeled (yet).
+const UNPEELED: u32 = 0;
 
-    while let Some((e, key)) = buckets.pop_min() {
-        level = level.max(key);
-        trussness[e as usize] = level + 2;
-        alive[e as usize] = false;
+/// The cap of a peel run to the end.
+pub(crate) const FULL_PEEL: u32 = u32::MAX;
+
+/// The cap of a peel that leaves exactly the k-truss: edges of support
+/// below `k − 2` go.
+pub(crate) fn ktruss_cap(k: u32) -> u32 {
+    k.saturating_sub(2)
+}
+
+impl Peel {
+    /// A peel over edges of initial `support` that stops once every
+    /// remaining edge has support ≥ `cap`.
+    pub(crate) fn new(support: &[u32], cap: u32) -> Self {
+        Peel {
+            buckets: PeelingBuckets::new(support),
+            trussness: vec![UNPEELED; support.len()],
+            level: 0,
+            cap,
+        }
+    }
+
+    /// Peels the minimum-support edge and returns it, or `None` once the
+    /// queue is empty or its minimum support has reached the cap.
+    pub(crate) fn next(&mut self) -> Option<EdgeId> {
+        let (e, key) = self.buckets.pop_min()?;
+        if key >= self.cap {
+            return None;
+        }
+        self.level = self.level.max(key);
+        self.trussness[e as usize] = self.level + 2;
+        Some(e)
+    }
+
+    /// A triangle through the edge just peeled is gone: the live edge `e`
+    /// loses one unit of support (clamped at the current level).
+    #[inline]
+    pub(crate) fn lose_support(&mut self, e: EdgeId) {
+        self.buckets.decrease_key_clamped(e, self.level);
+    }
+
+    /// Whether edge `e` has not been peeled.
+    #[inline]
+    pub(crate) fn is_live(&self, e: EdgeId) -> bool {
+        self.trussness[e as usize] == UNPEELED
+    }
+
+    /// The edges left when the peel stopped, ascending.
+    pub(crate) fn into_live_edges(self) -> Vec<EdgeId> {
+        (0..self.trussness.len() as EdgeId).filter(|&e| self.is_live(e)).collect()
+    }
+
+    /// The decomposition of a peel run to the end.
+    pub(crate) fn into_decomposition(self) -> TrussDecomposition {
+        debug_assert_eq!(self.cap, FULL_PEEL);
+        let max_trussness = if self.trussness.is_empty() { 0 } else { self.level + 2 };
+        TrussDecomposition { trussness: self.trussness, max_trussness }
+    }
+}
+
+/// Runs truss decomposition on `g`.
+pub fn truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
+    peel(g, FULL_PEEL).into_decomposition()
+}
+
+/// Ids of the edges of the k-truss of `g`, ascending: equal to
+/// `ktruss_edges(&truss_decomposition(g), k)`, but the peel stops as soon
+/// as every remaining edge has support ≥ `k − 2`.
+pub fn classic_ktruss(g: &CsrGraph, k: u32) -> Vec<EdgeId> {
+    peel(g, ktruss_cap(k)).into_live_edges()
+}
+
+/// Algorithm 1's peeling loop, stopped at support level `cap`.
+fn peel(g: &CsrGraph, cap: u32) -> Peel {
+    let mut peel = Peel::new(&edge_support(g), cap);
+    while let Some(e) = peel.next() {
         let (u, v) = g.edge(e);
         // Enumerate triangles through the smaller endpoint; each surviving
         // triangle (u, v, w) costs one support unit on (u, w) and (v, w).
         let (a, b) = if g.degree(u) <= g.degree(v) { (u, v) } else { (v, u) };
         for (w, e_aw) in g.neighbor_arcs(a) {
-            if !alive[e_aw as usize] {
+            if !peel.is_live(e_aw) {
                 continue;
             }
             let Some(e_bw) = g.edge_id_between(b, w) else { continue };
-            if alive[e_bw as usize] {
-                buckets.decrease_key_clamped(e_aw, level);
-                buckets.decrease_key_clamped(e_bw, level);
+            if peel.is_live(e_bw) {
+                peel.lose_support(e_aw);
+                peel.lose_support(e_bw);
             }
         }
     }
-
-    let max_trussness = if m == 0 { 0 } else { level + 2 };
-    TrussDecomposition { trussness, max_trussness }
+    peel
 }
 
 /// Per-vertex trussness: `τ(v) = max` trussness over edges incident to `v`

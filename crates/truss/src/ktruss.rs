@@ -29,17 +29,23 @@ pub fn maximal_connected_ktrusses(
     decomposition: &TrussDecomposition,
     k: u32,
 ) -> Vec<Vec<VertexId>> {
+    edge_components(g, &ktruss_edges(decomposition, k))
+}
+
+/// Vertex sets of the connected components of the subgraph of `g` spanned
+/// by `edges`, in the order of [`maximal_connected_ktrusses`]. Applied to
+/// a k-truss edge set (from [`crate::classic_ktruss`] or [`crate::bitmap_ktruss`]),
+/// these are its maximal connected k-trusses.
+pub fn edge_components(g: &CsrGraph, edges: &[EdgeId]) -> Vec<Vec<VertexId>> {
     let mut dsu = Dsu::new(g.n());
-    let mut in_truss = vec![false; g.n()];
-    for (e, &t) in decomposition.trussness.iter().enumerate() {
-        if t >= k {
-            let (u, v) = g.edge(e as EdgeId);
-            dsu.union(u, v);
-            in_truss[u as usize] = true;
-            in_truss[v as usize] = true;
-        }
+    let mut spanned = vec![false; g.n()];
+    for &e in edges {
+        let (u, v) = g.edge(e);
+        dsu.union(u, v);
+        spanned[u as usize] = true;
+        spanned[v as usize] = true;
     }
-    collect_components(g.n(), &in_truss, &mut dsu)
+    collect_components(g.n(), &spanned, &mut dsu)
 }
 
 /// Groups the marked vertices by their DSU root; shared by the k-truss and
@@ -117,6 +123,16 @@ mod tests {
     fn five_truss_is_empty() {
         let (g, d) = h1();
         assert!(maximal_connected_ktrusses(&g, &d, 5).is_empty());
+    }
+
+    #[test]
+    fn capped_peels_leave_the_ktruss() {
+        let (g, d) = h1();
+        for k in 0..=5 {
+            let edges = ktruss_edges(&d, k);
+            assert_eq!(crate::classic_ktruss(&g, k), edges, "k={k}");
+            assert_eq!(crate::bitmap_ktruss(&g, k), edges, "k={k}");
+        }
     }
 
     #[test]

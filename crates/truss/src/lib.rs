@@ -4,9 +4,11 @@
 //! search:
 //!
 //! * [`decompose`] — truss decomposition (Algorithm 1 of the paper, the
-//!   Wang–Cheng peeling algorithm) producing per-edge trussness.
-//! * [`bitmap`] — the bitmap-accelerated variant of Section 6.2 used by the
-//!   GCT index builder on ego-networks.
+//!   Wang–Cheng peeling algorithm) producing per-edge trussness, and its
+//!   k-bounded form that peels only up to the k-truss.
+//! * [`bitmap`] — the bitmap-accelerated kernel of Section 6.2, in the same
+//!   two forms. Which kernel an ego-network gets is decided in one place,
+//!   `sd-core`'s `score` module.
 //! * [`ktruss`] — k-truss extraction and maximal connected k-trusses
 //!   (the paper's *social contexts* when applied to an ego-network).
 //! * [`kcore`] — k-core decomposition, needed by the Core-Div baseline.
@@ -36,8 +38,8 @@ pub mod histogram;
 pub mod kcore;
 pub mod ktruss;
 
-pub use bitmap::bitmap_truss_decomposition;
-pub use decompose::{truss_decomposition, vertex_trussness, TrussDecomposition};
+pub use bitmap::{bitmap_ktruss, bitmap_truss_decomposition};
+pub use decompose::{classic_ktruss, truss_decomposition, vertex_trussness, TrussDecomposition};
 pub use histogram::trussness_histogram;
 pub use kcore::{core_decomposition, maximal_connected_kcores, CoreDecomposition};
-pub use ktruss::{ktruss_edges, maximal_connected_ktrusses};
+pub use ktruss::{edge_components, ktruss_edges, maximal_connected_ktrusses};

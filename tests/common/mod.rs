@@ -6,7 +6,11 @@
 
 use proptest::prelude::*;
 
-use structural_diversity::graph::{CsrGraph, GraphBuilder};
+use structural_diversity::graph::{CsrGraph, GraphBuilder, VertexId};
+use structural_diversity::search::EgoNetwork;
+use structural_diversity::truss::{
+    maximal_connected_ktrusses, truss_decomposition, TrussDecomposition,
+};
 
 /// Strategy: arbitrary small simple graph (possibly disconnected, with
 /// isolated vertices).
@@ -91,4 +95,42 @@ pub fn naive_kcore_vertices(g: &CsrGraph, k: u32) -> Vec<u32> {
         }
     }
     (0..g.n() as u32).filter(|&v| alive[v as usize]).collect()
+}
+
+/// Classic reference for Algorithm 2: every ego-network decomposed in full
+/// by the classic kernel, its social contexts read off with
+/// `maximal_connected_ktrusses`. It bypasses `sd-core`'s ego kernel policy
+/// (bitmap kernel, k-bounded peel), so it can catch a wrong kernel there.
+pub struct ClassicReference {
+    egos: Vec<(EgoNetwork, TrussDecomposition)>,
+}
+
+impl ClassicReference {
+    /// Extracts and decomposes every ego-network of `g` once; the queries
+    /// then serve any `k`.
+    pub fn new(g: &CsrGraph) -> Self {
+        let egos = g
+            .vertices()
+            .map(|v| {
+                let ego = EgoNetwork::extract(g, v);
+                let decomposition = truss_decomposition(&ego.graph);
+                (ego, decomposition)
+            })
+            .collect();
+        ClassicReference { egos }
+    }
+
+    /// `SC(v)` at `k`, in global ids, ordered (size desc, first vertex asc).
+    pub fn contexts(&self, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
+        let (ego, decomposition) = &self.egos[v as usize];
+        maximal_connected_ktrusses(&ego.graph, decomposition, k)
+            .iter()
+            .map(|component| ego.to_global(component))
+            .collect()
+    }
+
+    /// `score(v)` at `k` for every vertex.
+    pub fn scores(&self, k: u32) -> Vec<u32> {
+        (0..self.egos.len() as VertexId).map(|v| self.contexts(v, k).len() as u32).collect()
+    }
 }

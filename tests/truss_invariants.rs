@@ -1,6 +1,7 @@
 //! Property tests of the decomposition substrate against naive references:
 //! the k-truss from our trussness labels must equal the iterative-removal
-//! fixpoint for every k, bitmap and classic peeling must agree, coreness
+//! fixpoint for every k, bitmap and classic peeling must agree (in full and
+//! stopped at the k-truss), coreness
 //! must match naive peeling, and triangle counting must match brute force.
 
 mod common;
@@ -10,8 +11,8 @@ use proptest::prelude::*;
 
 use structural_diversity::graph::triangles::{edge_support, triangle_count};
 use structural_diversity::truss::{
-    bitmap_truss_decomposition, core_decomposition, ktruss_edges, truss_decomposition,
-    vertex_trussness,
+    bitmap_ktruss, bitmap_truss_decomposition, classic_ktruss, core_decomposition, ktruss_edges,
+    truss_decomposition, vertex_trussness,
 };
 
 proptest! {
@@ -41,6 +42,18 @@ proptest! {
     #[test]
     fn bitmap_equals_classic(g in arb_graph(20, 80)) {
         prop_assert_eq!(bitmap_truss_decomposition(&g), truss_decomposition(&g));
+    }
+
+    /// Both kernels' peels stopped at level k − 2 leave exactly the k-truss
+    /// of the full decomposition, at every k up to one past the top.
+    #[test]
+    fn capped_peel_equals_ktruss(g in arb_graph(20, 80)) {
+        let d = truss_decomposition(&g);
+        for k in 2..=d.max_trussness + 1 {
+            let expected = ktruss_edges(&d, k);
+            prop_assert_eq!(&classic_ktruss(&g, k), &expected, "classic k={}", k);
+            prop_assert_eq!(&bitmap_ktruss(&g, k), &expected, "bitmap k={}", k);
+        }
     }
 
     #[test]
