@@ -5,11 +5,11 @@
 //! differently shaped APIs — two free functions and three index structs
 //! whose `top_r` signatures disagreed. [`DiversityEngine`] unifies them:
 //! every engine is built from a graph via [`build_engine`] (or revived from
-//! a fingerprinted blob via [`crate::SearchService::import_index`] /
-//! [`crate::SearchService::import_bundle`]), answers the same
-//! [`QuerySpec`], and reports per-query [`crate::SearchMetrics`]. The
-//! [`crate::SearchService`] facade sits on top, adding lazy index construction,
-//! heuristic [`EngineKind::Auto`] selection, and batched queries.
+//! a fingerprinted blob via [`crate::SearchService::import_bundle`]),
+//! answers the same [`QuerySpec`], and reports per-query
+//! [`crate::SearchMetrics`]. The [`crate::SearchService`] facade sits on
+//! top, adding lazy index construction, heuristic [`EngineKind::Auto`]
+//! selection, and batched queries.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -144,7 +144,6 @@ impl EngineKind {
 
     /// Whether this engine kind has a serialized index form
     /// ([`DiversityEngine::to_bytes`], revivable through
-    /// [`crate::SearchService::import_index`] /
     /// [`crate::SearchService::import_bundle`]).
     pub fn serializable(self) -> bool {
         matches!(self, EngineKind::Tsd | EngineKind::Gct | EngineKind::Hybrid)
@@ -158,9 +157,9 @@ impl EngineKind {
         matches!(self, EngineKind::Online | EngineKind::Bound)
     }
 
-    /// Stable on-disk tag used by the [`crate::envelope::IndexEnvelope`]
-    /// header. [`EngineKind::Auto`] has no tag (it never names a concrete
-    /// index); tags are append-only across format revisions.
+    /// Stable on-disk tag used by the [`crate::envelope::IndexBundle`]
+    /// entry header. [`EngineKind::Auto`] has no tag (it never names a
+    /// concrete index); tags are append-only across format revisions.
     pub fn tag(self) -> u8 {
         match self {
             EngineKind::Auto => 0,
@@ -660,14 +659,18 @@ pub fn build_engine_in(
 /// [`DiversityEngine::to_bytes`]) as an engine over `g`. Only TSD, GCT, and
 /// Hybrid have serialized forms.
 ///
-/// Crate-private since 0.4.0: the attachment check here is by vertex count
-/// only, so a raw blob serialized from a *different* graph with the same
-/// `n` (e.g. an older snapshot after edge churn) would be accepted and
-/// serve that graph's answers. Every public decode path goes through the
-/// fingerprinted envelope/bundle layer — [`crate::SearchService::import_index`]
-/// and [`crate::SearchService::import_bundle`] — which rejects wrong-graph
-/// blobs with [`SearchError::FingerprintMismatch`] before this function
-/// ever runs.
+/// TSD and GCT indexes are validated against `g` (forests and supernodes
+/// inside each neighborhood, weights ordered, superedges a forest), so a
+/// payload forged past the bundle checksum fails as
+/// [`DecodeError::InvalidEntry`](crate::DecodeError::InvalidEntry) instead
+/// of panicking at query time.
+///
+/// Crate-private since 0.4.0: the graph-identity check here is by vertex
+/// count only, so a raw blob serialized from a *different* graph with the
+/// same `n` (e.g. an older snapshot after edge churn) would be accepted and
+/// serve that graph's answers. The one public decode path,
+/// [`crate::SearchService::import_bundle`], rejects wrong-graph blobs with
+/// [`SearchError::FingerprintMismatch`] before this function ever runs.
 pub(crate) fn decode_engine(
     kind: EngineKind,
     g: Arc<CsrGraph>,
@@ -675,12 +678,14 @@ pub(crate) fn decode_engine(
 ) -> Result<Box<dyn DiversityEngine>, SearchError> {
     match kind {
         EngineKind::Tsd => {
-            let index = TsdIndex::from_bytes(bytes)?;
-            Ok(Box::new(TsdEngine::from_parts(g, index)?))
+            let engine = TsdEngine::from_parts(g, TsdIndex::from_bytes(bytes)?)?;
+            engine.index.validate(&engine.g)?;
+            Ok(Box::new(engine))
         }
         EngineKind::Gct => {
-            let index = GctIndex::from_bytes(bytes)?;
-            Ok(Box::new(GctEngine::from_parts(g, index)?))
+            let engine = GctEngine::from_parts(g, GctIndex::from_bytes(bytes)?)?;
+            engine.index.validate(&engine.g)?;
+            Ok(Box::new(engine))
         }
         EngineKind::Hybrid => {
             let index = HybridIndex::from_bytes(bytes)?;

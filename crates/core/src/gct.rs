@@ -117,6 +117,31 @@ impl GctEntry {
         groups
     }
 
+    /// Checks a decoded entry against `nbrs`, the owner's neighborhood:
+    /// supernodes are non-empty slices of N(v) with non-increasing
+    /// trussness, superedge weights are non-increasing, and every
+    /// superedge `(a, b, w)` joins two supernodes of trussness ≥ w without
+    /// closing a cycle — so Lemma 3's `N_k − M_k` cannot underflow and
+    /// every union-find index stays in range.
+    fn validate(&self, nbrs: &[VertexId]) -> Result<(), DecodeError> {
+        let well_formed = self.sn_tau.windows(2).all(|t| t[0] >= t[1])
+            && self.se.windows(2).all(|e| e[0].2 >= e[1].2)
+            && self.sn_offsets.windows(2).all(|o| o[0] < o[1])
+            && self.sn_offsets.last() == Some(&(self.sn_vertices.len() as u32))
+            && self.sn_vertices.iter().all(|x| nbrs.binary_search(x).is_ok());
+        if !well_formed {
+            return Err(DecodeError::InvalidEntry);
+        }
+        let joins = |i: u32, w: u32| self.sn_tau.get(i as usize).is_some_and(|&t| t >= w);
+        let mut forest = Dsu::new(self.sn_tau.len());
+        for &(a, b, w) in &self.se {
+            if !(joins(a, w) && joins(b, w) && forest.union(a, b)) {
+                return Err(DecodeError::InvalidEntry);
+            }
+        }
+        Ok(())
+    }
+
     /// Algorithm 8: builds the entry from an ego-network, its truss
     /// decomposition, and per-local-vertex trussness.
     pub fn from_ego(ego: &EgoNetwork, decomposition: &TrussDecomposition, tau_v: &[u32]) -> Self {
@@ -389,6 +414,14 @@ impl GctIndex {
         Ok(GctIndex { entries })
     }
 
+    /// Checks a decoded index entry by entry against `g`, the graph (of
+    /// `self.n()` vertices) it is being attached to. Only the import path
+    /// runs this; built and repaired indexes hold the invariants by
+    /// construction.
+    pub(crate) fn validate(&self, g: &CsrGraph) -> Result<(), DecodeError> {
+        g.vertices().try_for_each(|v| self.entries[v as usize].validate(g.neighbors(v)))
+    }
+
     /// Serialized size in bytes.
     pub fn index_size_bytes(&self) -> usize {
         12 + self
@@ -473,6 +506,28 @@ mod tests {
     use crate::online::{all_scores, online_top_r};
     use crate::paper::paper_figure1_graph;
     use crate::score::social_contexts;
+
+    /// Import-time validation refuses each entry shape no graph can
+    /// produce, starting from Figure 7(b)'s valid GCT_v.
+    #[test]
+    fn validate_rejects_entries_no_graph_could_have() {
+        let (g, v, _) = paper_figure1_graph();
+        let nbrs = g.neighbors(v);
+        let entry = gct_entry_for(&g, v);
+        assert_eq!(entry.validate(nbrs), Ok(()));
+        let forgeries: [fn(&mut GctEntry); 5] = [
+            |e| e.sn_tau[2] = 5,      // trussness out of order
+            |e| e.sn_offsets[1] = 0,  // an empty supernode
+            |e| e.sn_vertices[0] = 0, // a member outside N(v)
+            |e| e.se[0].2 = 5,        // a superedge above its supernodes
+            |e| e.se.push(e.se[0]),   // a cycle: N_k − M_k underflows
+        ];
+        for (i, forge) in forgeries.iter().enumerate() {
+            let mut forged = entry.clone();
+            forge(&mut forged);
+            assert_eq!(forged.validate(nbrs), Err(DecodeError::InvalidEntry), "forgery {i}");
+        }
+    }
 
     /// Figure 7(b): GCT_v has three supernodes of trussness 4 (x-clique,
     /// y-clique, r-octahedron) and one superedge of weight 3.

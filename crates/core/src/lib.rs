@@ -41,13 +41,12 @@
 //!
 //! Queries are validated ([`QuerySpec::new`] rejects `k < 2` / `r == 0`;
 //! the engine rejects `r > n`) and every failure is a [`SearchError`].
-//! Index persistence goes through fingerprinted frames — one index per
-//! [`IndexEnvelope`] ([`SearchService::export_index`] /
-//! [`SearchService::import_index`]), or every serializable index behind a
-//! single fingerprint in an [`IndexBundle`]
-//! ([`SearchService::export_bundle`] / [`SearchService::import_bundle`]) —
-//! and every import refuses blobs built from a different graph; there is
-//! no fingerprint-less public decode path. (The 0.2 single-threaded
+//! Index persistence has one format: any non-empty set of serializable
+//! indexes — one or several — behind a single graph fingerprint in a
+//! checksummed [`IndexBundle`] ([`SearchService::export_bundle`] /
+//! [`SearchService::import_bundle`]). Import refuses blobs built from a
+//! different graph and payloads that could not have been built from this
+//! one; there is no fingerprint-less public decode path. (The 0.2 single-threaded
 //! `Searcher` facade, deprecated in 0.3.0, is removed as of 0.4.0 — see
 //! the README's upgrade note.)
 //!
@@ -88,8 +87,8 @@ pub use engine::{
     HybridEngine, OnlineEngine, QuerySpec, ScanPolicy, TsdEngine, PARALLEL_MIN_VERTICES,
 };
 pub use envelope::{
-    GraphFingerprint, IndexBundle, IndexEnvelope, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES,
-    BUNDLE_MAGIC, BUNDLE_VERSION, ENVELOPE_HEADER_BYTES, ENVELOPE_MAGIC, ENVELOPE_VERSION,
+    GraphFingerprint, IndexBundle, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_MAGIC,
+    BUNDLE_VERSION,
 };
 pub use error::{DecodeError, SearchError};
 pub use gct::{DynamicGct, GctIndex};

@@ -47,7 +47,7 @@
 //!   while holding the updater carry.
 //! - `svc.updater → engine.slot` — the first batch seeds its carry from
 //!   the old epoch's TSD slot.
-//! - `epoch.ptr → engine.slot` — `import_index` installs into the epoch it
+//! - `epoch.ptr → engine.slot` — `import_bundle` installs into the epoch it
 //!   verified, under the epoch read lock.
 //! - `engine.slot → scan.chunk` — a foreground fallback build scans in
 //!   parallel while holding the slot it will fill.

@@ -49,13 +49,11 @@
 //! * query, build, fallback, and epoch counters are atomics, surfaced as
 //!   [`ServiceStats`] (including `epochs`, `updates_applied`, and
 //!   `incremental_tsd_carries`);
-//! * persistence goes through fingerprinted frames: one index per blob via
-//!   [`SearchService::export_index`] / [`SearchService::import_index`], or
-//!   every serializable index behind a single fingerprint via
-//!   [`SearchService::export_bundle`] / [`SearchService::import_bundle`].
-//!   The fingerprint is recomputed for every epoch, so both import paths
-//!   refuse blobs from any other graph — including this service's *own*
-//!   pre-update epochs.
+//! * persistence has one format: any non-empty set of serializable indexes
+//!   behind a single fingerprint, via [`SearchService::export_bundle`] /
+//!   [`SearchService::import_bundle`]. The fingerprint is recomputed for
+//!   every epoch, so import refuses blobs from any other graph — including
+//!   this service's *own* pre-update epochs.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -103,7 +101,7 @@ use crate::engine::{
     build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, HybridEngine,
     QuerySpec, ScanPolicy, TsdEngine,
 };
-use crate::envelope::{GraphFingerprint, IndexBundle, IndexEnvelope};
+use crate::envelope::{GraphFingerprint, IndexBundle};
 use crate::error::SearchError;
 use crate::gct::DynamicGct;
 use crate::lock_order;
@@ -488,8 +486,7 @@ impl ServiceCore {
 /// (including [`EngineKind::Auto`]) through `&self` methods without ever
 /// blocking a query on index construction, mutates the graph under traffic
 /// via epoch-swapped snapshots ([`Self::apply_updates`]), and
-/// imports/exports indexes as fingerprinted envelopes or multi-index
-/// bundles.
+/// imports/exports indexes as fingerprinted bundles.
 ///
 /// Share it as `Arc<SearchService>`; every method takes `&self`.
 ///
@@ -624,13 +621,8 @@ impl SearchService {
         self.core.current().graph.clone()
     }
 
-    /// Alias of [`Self::graph`], kept for 0.4 callers.
-    pub fn graph_arc(&self) -> Arc<CsrGraph> {
-        self.graph()
-    }
-
-    /// The current epoch's identity as recorded in exported envelopes and
-    /// bundles. Changes whenever [`Self::apply_updates`] publishes.
+    /// The current epoch's identity as recorded in exported bundles.
+    /// Changes whenever [`Self::apply_updates`] publishes.
     pub fn fingerprint(&self) -> GraphFingerprint {
         self.core.current().fingerprint
     }
@@ -837,8 +829,8 @@ impl SearchService {
     /// publishes nothing and leaves the epoch untouched; an empty batch is
     /// an error ([`SearchError::EmptyUpdateBatch`]).
     ///
-    /// Exported envelopes and bundles from superseded epochs no longer
-    /// match [`Self::fingerprint`], so re-importing them fails with
+    /// Bundles exported from superseded epochs no longer match
+    /// [`Self::fingerprint`], so re-importing them fails with
     /// [`SearchError::FingerprintMismatch`] — stale indexes cannot be
     /// smuggled past an update.
     pub fn apply_updates(&self, batch: &[GraphUpdate]) -> Result<UpdateStats, SearchError> {
@@ -1176,72 +1168,16 @@ impl SearchService {
         results.map(|r| (epoch.id, r))
     }
 
-    /// Serializes the engine of `kind` (building it first if needed — this
-    /// path blocks; it is an export, not a query) into a fingerprinted
-    /// [`IndexEnvelope`] blob that [`Self::import_index`] — on a service
-    /// over the *same* graph — accepts. Engines without a serialized form
-    /// return [`SearchError::SerializationUnsupported`] *before* any
-    /// engine is built ([`EngineKind::Auto`] resolves first, so it exports
-    /// whatever index the heuristic currently routes to, or fails cheaply
-    /// if that engine is index-free).
-    pub fn export_index(&self, kind: EngineKind) -> Result<Bytes, SearchError> {
-        let epoch = self.core.current();
-        let kind = self.core.resolve_on(&epoch, kind);
-        if !kind.serializable() {
-            return Err(SearchError::SerializationUnsupported { engine: kind.name() });
-        }
-        let engine = self.core.build_if_absent(&epoch, kind).0;
-        let payload = engine.to_bytes()?;
-        Ok(IndexEnvelope::new(kind, epoch.fingerprint, payload).encode())
-    }
-
-    /// Installs an engine from an envelope blob produced by
-    /// [`Self::export_index`], replacing any cached engine of that kind in
-    /// the current epoch, and returns the installed kind.
-    ///
-    /// Rejects blobs whose graph fingerprint (`n`, `m`, edge checksum)
-    /// differs from the current epoch's graph with
-    /// [`SearchError::FingerprintMismatch`] — a same-`n` snapshot from
-    /// before edge churn, or from one of this service's own superseded
-    /// epochs, cannot slip through. This and [`Self::import_bundle`] are
-    /// the *only* ways to attach serialized index bytes to a service:
-    /// there is no fingerprint-less public decode path.
-    pub fn import_index(&self, blob: Bytes) -> Result<EngineKind, SearchError> {
-        let epoch = self.core.current();
-        let envelope = IndexEnvelope::decode(blob)?;
-        if envelope.fingerprint != epoch.fingerprint {
-            return Err(SearchError::FingerprintMismatch {
-                expected: epoch.fingerprint,
-                found: envelope.fingerprint,
-            });
-        }
-        let engine = decode_engine(envelope.kind, epoch.graph.clone(), envelope.payload)?;
-        // Install under the epoch-pointer read lock (which excludes the
-        // publish swap) and re-verify the fingerprint there: an
-        // `apply_updates` that landed while we decoded must fail the
-        // import, not let it install into a superseded epoch and report
-        // success. The fingerprint — not pointer identity — is the real
-        // validity condition, so an update that round-trips back to the
-        // blob's exact edge set still imports.
-        let guard = self.core.current.read(); // lock: epoch.ptr
-        if guard.fingerprint != envelope.fingerprint {
-            return Err(SearchError::FingerprintMismatch {
-                expected: guard.fingerprint,
-                found: envelope.fingerprint,
-            });
-        }
-        self.core.install(&guard, envelope.kind, Arc::from(engine));
-        Ok(envelope.kind)
-    }
-
     /// Serializes every named engine (building any that are missing — this
-    /// path blocks, like [`Self::export_index`]) into one fingerprinted
-    /// [`IndexBundle`] blob, so a fully warmed service (TSD + GCT +
-    /// Hybrid) persists as a single artifact. Kinds are deduplicated and
-    /// encoded in [`EngineKind::ALL`] order; [`EngineKind::Auto`] resolves
-    /// first. Fails with [`SearchError::SerializationUnsupported`] if any
-    /// requested kind is index-free — *before* building anything — and
-    /// with [`SearchError::EmptyBundleRequest`] if no kind was named.
+    /// path blocks; it is an export, not a query) into one fingerprinted
+    /// [`IndexBundle`] blob that [`Self::import_bundle`] — on a service over
+    /// the *same* graph — accepts. One kind persists a single index; TSD +
+    /// GCT + Hybrid persist a fully warmed service as one artifact. Kinds
+    /// are deduplicated and encoded in [`EngineKind::ALL`] order;
+    /// [`EngineKind::Auto`] resolves first. Fails with
+    /// [`SearchError::SerializationUnsupported`] if any requested kind is
+    /// index-free — *before* building anything — and with
+    /// [`SearchError::EmptyBundleRequest`] if no kind was named.
     pub fn export_bundle(
         &self,
         kinds: impl IntoIterator<Item = EngineKind>,
@@ -1273,9 +1209,12 @@ impl SearchService {
     ///
     /// All-or-nothing: the fingerprint is checked first (wrong-graph and
     /// superseded-epoch bundles are refused whole, as
-    /// [`SearchError::FingerprintMismatch`]) and every entry is decoded
-    /// before *any* engine is installed, so a bundle with one corrupt
-    /// payload installs nothing.
+    /// [`SearchError::FingerprintMismatch`] — a same-`n` snapshot from
+    /// before edge churn cannot slip through) and every entry is decoded
+    /// and validated against the graph before *any* engine is installed,
+    /// so a bundle with one corrupt payload installs nothing. This is the
+    /// *only* way to attach serialized index bytes to a service: there is
+    /// no fingerprint-less public decode path.
     pub fn import_bundle(&self, blob: Bytes) -> Result<Vec<EngineKind>, SearchError> {
         let epoch = self.core.current();
         let bundle = IndexBundle::decode(blob)?;
@@ -1290,10 +1229,13 @@ impl SearchService {
         for (kind, payload) in bundle.entries {
             decoded.push((kind, decode_engine(kind, epoch.graph.clone(), payload)?));
         }
-        // As in [`Self::import_index`]: install under the epoch-pointer
-        // read lock, re-verifying the fingerprint, so a concurrent
-        // `apply_updates` cannot turn the import into a silent no-op
-        // against a superseded epoch.
+        // Install under the epoch-pointer read lock (which excludes the
+        // publish swap) and re-verify the fingerprint there: an
+        // `apply_updates` that landed while we decoded must fail the
+        // import, not let it install into a superseded epoch and report
+        // success. The fingerprint — not pointer identity — is the real
+        // validity condition, so an update that round-trips back to the
+        // blob's exact edge set still imports.
         let guard = self.core.current.read(); // lock: epoch.ptr
         if guard.fingerprint != fingerprint {
             return Err(SearchError::FingerprintMismatch {
@@ -1545,19 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn envelope_roundtrip_through_the_service() {
-        let s = service();
-        let blob = s.export_index(EngineKind::Gct).unwrap();
-        let fresh = service();
-        assert_eq!(fresh.import_index(blob).unwrap(), EngineKind::Gct);
-        assert_eq!(fresh.built_engines(), vec![EngineKind::Gct]);
-        let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
-        let result = fresh.top_r(&spec).unwrap();
-        assert_eq!(result.metrics.engine, "gct", "imported engines serve without fallback");
-        assert_eq!(result.entries[0].score, 3);
-    }
-
-    #[test]
     fn bundle_roundtrip_through_the_service() {
         let s = service();
         let kinds = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
@@ -1588,17 +1517,9 @@ mod tests {
     #[test]
     fn import_rejects_wrong_graph_and_garbage() {
         let s = service();
-        let blob = s.export_index(EngineKind::Gct).unwrap();
         let bundle = s.export_bundle([EngineKind::Gct]).unwrap();
         let other = SearchService::new(
             sd_graph::GraphBuilder::new().extend_edges([(0, 1), (1, 2)]).build(),
-        );
-        assert_eq!(
-            other.import_index(blob).unwrap_err(),
-            SearchError::FingerprintMismatch {
-                expected: other.fingerprint(),
-                found: s.fingerprint()
-            }
         );
         assert_eq!(
             other.import_bundle(bundle).unwrap_err(),
@@ -1606,10 +1527,6 @@ mod tests {
                 expected: other.fingerprint(),
                 found: s.fingerprint()
             }
-        );
-        assert_eq!(
-            s.import_index(Bytes::from_static(b"garbage")).unwrap_err(),
-            SearchError::Decode(DecodeError::Truncated)
         );
         assert_eq!(
             s.import_bundle(Bytes::from_static(b"garbage")).unwrap_err(),
@@ -1622,7 +1539,7 @@ mod tests {
         let s = service();
         for kind in [EngineKind::Online, EngineKind::Bound] {
             assert_eq!(
-                s.export_index(kind).unwrap_err(),
+                s.export_bundle([kind]).unwrap_err(),
                 SearchError::SerializationUnsupported { engine: kind.name() }
             );
         }
@@ -1788,11 +1705,11 @@ mod tests {
     #[test]
     fn stale_epoch_blobs_are_refused_after_updates() {
         let s = service();
-        let stale = s.export_index(EngineKind::Gct).unwrap();
+        let stale = s.export_bundle([EngineKind::Gct]).unwrap();
         let stale_bundle = s.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
         let old_fingerprint = s.fingerprint();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
-        for err in [s.import_index(stale).unwrap_err(), s.import_bundle(stale_bundle).unwrap_err()]
+        for err in [s.import_bundle(stale).unwrap_err(), s.import_bundle(stale_bundle).unwrap_err()]
         {
             assert_eq!(
                 err,
@@ -1804,9 +1721,9 @@ mod tests {
         }
         // The *new* epoch's export re-imports fine into a fresh service on
         // the same final graph.
-        let blob = s.export_index(EngineKind::Tsd).unwrap();
+        let blob = s.export_bundle([EngineKind::Tsd]).unwrap();
         let fresh = SearchService::new((*s.graph()).clone());
-        assert_eq!(fresh.import_index(blob).unwrap(), EngineKind::Tsd);
+        assert_eq!(fresh.import_bundle(blob).unwrap(), vec![EngineKind::Tsd]);
     }
 
     #[test]

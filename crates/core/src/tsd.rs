@@ -294,6 +294,30 @@ impl TsdIndex {
     pub fn index_size_bytes(&self) -> usize {
         20 + self.n() * 4 + self.total_edges() * 12
     }
+
+    /// Checks a decoded index against `g`, the graph (of `self.n()`
+    /// vertices) it is being attached to: each slice is an acyclic forest
+    /// over distinct members of N(v), with weights ≥ 2 and non-increasing —
+    /// the invariants [`Self::score`], [`Self::social_contexts`] and the
+    /// prefix searches rely on. Only the import path runs this; built and
+    /// carried indexes hold them by construction.
+    pub(crate) fn validate(&self, g: &CsrGraph) -> Result<(), DecodeError> {
+        for v in g.vertices() {
+            let nbrs = g.neighbors(v);
+            let mut forest = Dsu::new(nbrs.len());
+            let mut prev = u32::MAX;
+            for (a, b, w) in self.forest(v) {
+                let (Ok(la), Ok(lb)) = (nbrs.binary_search(&a), nbrs.binary_search(&b)) else {
+                    return Err(DecodeError::InvalidEntry);
+                };
+                if w < 2 || w > prev || !forest.union(la as u32, lb as u32) {
+                    return Err(DecodeError::InvalidEntry);
+                }
+                prev = w;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Core of Algorithm 5: the maximum spanning forest of the
@@ -473,6 +497,28 @@ mod tests {
         buf.put_u64_le(0);
         buf.put_u64_le(0);
         assert_eq!(TsdIndex::from_bytes(buf.freeze()), Err(DecodeError::BadMagic));
+    }
+
+    /// Import-time validation refuses each forest shape no graph can
+    /// produce, starting from the Figure-1 center's valid forest.
+    #[test]
+    fn validate_rejects_forests_no_graph_could_have() {
+        let (g, v, _) = paper_figure1_graph();
+        let index = TsdIndex::build(&g);
+        assert_eq!(index.validate(&g), Ok(()));
+        let (s, e) = (index.offsets[v as usize], index.offsets[v as usize + 1]);
+        let forgeries: [&dyn Fn(&mut TsdIndex); 4] = [
+            &|f| f.eu[s] = v,                       // an endpoint outside N(v)
+            &|f| f.weight[e - 1] = f.weight[s] + 1, // weights out of order
+            &|f| f.weight[e - 1] = 1,               // a weight below 2
+            // A repeated edge closes a cycle: `score`'s touched − kept underflows.
+            &|f| (f.eu[s + 1], f.ew[s + 1], f.weight[s + 1]) = (f.eu[s], f.ew[s], f.weight[s]),
+        ];
+        for (i, forge) in forgeries.iter().enumerate() {
+            let mut forged = index.clone();
+            forge(&mut forged);
+            assert_eq!(forged.validate(&g), Err(DecodeError::InvalidEntry), "forgery {i}");
+        }
     }
 
     #[test]

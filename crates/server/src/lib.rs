@@ -5,7 +5,7 @@
 //! (Huang, Huang & Xu, ICDE 2021) in-process. This crate puts it behind
 //! an **event-driven** network front-end speaking **`sd-wire`**, a
 //! length-prefixed binary frame protocol with the same adversarial
-//! decode discipline as the on-disk [`sd_core::IndexEnvelope`]: magic,
+//! decode discipline as the on-disk [`sd_core::IndexBundle`]: magic,
 //! version, fingerprint routing, and every length validated before it
 //! is trusted.
 //!

@@ -10,7 +10,7 @@
 //!
 //! A frame whose fingerprint matches no registered tenant is answered
 //! with a typed `UnknownTenant` error — the wrong-graph analogue of
-//! [`sd_core::SearchError::FingerprintMismatch`] on the envelope path.
+//! [`sd_core::SearchError::FingerprintMismatch`] on the bundle import path.
 
 use std::sync::Arc;
 

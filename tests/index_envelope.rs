@@ -1,11 +1,12 @@
-//! Fingerprinted index envelopes and bundles: `export_index`/`import_index`
-//! must round-trip every serializable engine kind, `export_bundle`/
-//! `import_bundle` must round-trip any subset of them behind one
-//! fingerprint, and both import paths must reject — with typed errors,
-//! never a panic or a silently wrong engine — blobs from a different
-//! graph, truncation at every layer, unknown format versions, duplicate
-//! engine tags, zero-entry bundles, raw (unenveloped) index blobs, and
-//! each frame format fed to the other's importer.
+//! Fingerprinted index bundles, the one persistence format:
+//! `export_bundle`/`import_bundle` must round-trip every serializable
+//! engine kind, alone or together behind one fingerprint, and import must
+//! reject — with typed errors, never a panic or a silently wrong engine —
+//! blobs from a different graph, truncation at every layer, unknown format
+//! versions, unknown and duplicate engine tags, zero-entry bundles, raw
+//! (unframed) index blobs, and the single-index "SDIE" envelopes of
+//! earlier releases. The corruption sweeps at the end flip every bit of
+//! exported bundles, and every payload bit under a recomputed checksum.
 
 mod common;
 
@@ -16,9 +17,8 @@ use proptest::prelude::*;
 
 use structural_diversity::graph::GraphBuilder;
 use structural_diversity::search::{
-    DecodeError, EngineKind, GraphFingerprint, IndexBundle, IndexEnvelope, QuerySpec, SearchError,
-    SearchService, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
-    ENVELOPE_VERSION,
+    DecodeError, EngineKind, GraphFingerprint, IndexBundle, QuerySpec, SearchError, SearchService,
+    TopREntry, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
 };
 
 fn fig1_service() -> SearchService {
@@ -27,6 +27,9 @@ fn fig1_service() -> SearchService {
         .build();
     SearchService::new(g)
 }
+
+/// The serializable kinds, each persisted as a one-entry bundle.
+const INDEX_KINDS: [EngineKind; 3] = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
 
 /// Every engine kind goes through export: the serializable ones round-trip
 /// into an equivalent engine, the index-free ones fail with the typed
@@ -37,16 +40,16 @@ fn every_kind_roundtrips_or_reports_the_missing_capability() {
     let spec = QuerySpec::new(4, 3).unwrap();
     for kind in EngineKind::ALL {
         if kind.serializable() {
-            let blob = donor.export_index(kind).expect("export");
-            let fresh = SearchService::from_arc(donor.graph_arc());
-            assert_eq!(fresh.import_index(blob).expect("import"), kind);
+            let blob = donor.export_bundle([kind]).expect("export");
+            let fresh = SearchService::from_arc(donor.graph());
+            assert_eq!(fresh.import_bundle(blob).expect("import"), vec![kind]);
             assert_eq!(fresh.built_engines(), vec![kind]);
             let revived = fresh.top_r(&spec.with_engine(kind)).expect("query");
             let original = donor.top_r(&spec.with_engine(kind)).expect("query");
             assert_eq!(revived.scores(), original.scores(), "{kind} roundtrip changed answers");
         } else {
             assert_eq!(
-                donor.export_index(kind).unwrap_err(),
+                donor.export_bundle([kind]).unwrap_err(),
                 SearchError::SerializationUnsupported { engine: kind.name() },
                 "{kind}"
             );
@@ -57,13 +60,13 @@ fn every_kind_roundtrips_or_reports_the_missing_capability() {
 #[test]
 fn import_rejects_wrong_graph_fingerprint() {
     let donor = fig1_service();
-    for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
-        let blob = donor.export_index(kind).expect("export");
+    for kind in INDEX_KINDS {
+        let blob = donor.export_bundle([kind]).expect("export");
 
         // A graph with a different vertex count.
         let smaller =
             SearchService::new(GraphBuilder::new().extend_edges([(0, 1), (1, 2), (0, 2)]).build());
-        match smaller.import_index(blob.clone()) {
+        match smaller.import_bundle(blob.clone()) {
             Err(SearchError::FingerprintMismatch { expected, found }) => {
                 assert_eq!(expected, smaller.fingerprint());
                 assert_eq!(found, donor.fingerprint());
@@ -75,7 +78,7 @@ fn import_rejects_wrong_graph_fingerprint() {
         // m, different edges.
         let same_shape = churned_same_shape(&donor);
         assert!(
-            matches!(same_shape.import_index(blob), Err(SearchError::FingerprintMismatch { .. })),
+            matches!(same_shape.import_bundle(blob), Err(SearchError::FingerprintMismatch { .. })),
             "{kind}: same-(n, m) churned graph must be caught by the edge checksum"
         );
     }
@@ -84,13 +87,14 @@ fn import_rejects_wrong_graph_fingerprint() {
 #[test]
 fn import_rejects_truncated_headers_and_bodies() {
     let service = fig1_service();
-    let blob = service.export_index(EngineKind::Gct).expect("export");
-    // Every truncation point — inside the header and inside the payload —
-    // must produce a typed decode error.
-    for cut in [0, 1, 7, 39, blob.len() - 1] {
+    let blob = service.export_bundle([EngineKind::Gct]).expect("export");
+    // Truncation inside the bundle header, the entry header, and the
+    // payload must each produce a typed decode error.
+    let entry_header_end = BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES;
+    for cut in [0, 1, 7, BUNDLE_HEADER_BYTES - 1, entry_header_end - 1, blob.len() - 1] {
         let truncated = blob.slice(0..cut);
         assert_eq!(
-            service.import_index(truncated).unwrap_err(),
+            service.import_bundle(truncated).unwrap_err(),
             SearchError::Decode(DecodeError::Truncated),
             "cut at {cut}"
         );
@@ -100,12 +104,12 @@ fn import_rejects_truncated_headers_and_bodies() {
 #[test]
 fn import_rejects_unknown_format_version() {
     let service = fig1_service();
-    let blob = service.export_index(EngineKind::Tsd).expect("export");
+    let blob = service.export_bundle([EngineKind::Tsd]).expect("export");
     let mut bytes = blob.as_ref().to_vec();
-    let future = ENVELOPE_VERSION + 41;
+    let future = BUNDLE_VERSION + 41;
     bytes[4..6].copy_from_slice(&future.to_le_bytes());
     assert_eq!(
-        service.import_index(bytes.into()).unwrap_err(),
+        service.import_bundle(bytes.into()).unwrap_err(),
         SearchError::Decode(DecodeError::UnsupportedVersion { version: future })
     );
 }
@@ -113,33 +117,32 @@ fn import_rejects_unknown_format_version() {
 #[test]
 fn import_rejects_unknown_engine_tag_and_bad_magic() {
     let service = fig1_service();
-    let blob = service.export_index(EngineKind::Tsd).expect("export");
+    let blob = service.export_bundle([EngineKind::Tsd]).expect("export");
 
     let mut tagged = blob.as_ref().to_vec();
-    tagged[6] = 0x7F;
+    tagged[BUNDLE_HEADER_BYTES] = 0x7F; // the first entry's engine tag
     assert_eq!(
-        service.import_index(tagged.into()).unwrap_err(),
+        service.import_bundle(tagged.into()).unwrap_err(),
         SearchError::Decode(DecodeError::UnknownEngine { tag: 0x7F })
     );
 
-    // A raw index blob (no envelope) must be refused up front — its magic
-    // is the index format's, not the envelope's.
+    // A raw index blob (no bundle frame) must be refused up front — its
+    // magic is the index format's, not the bundle's.
     let raw = service.engine(EngineKind::Tsd).to_bytes().expect("raw index bytes");
-    assert_eq!(service.import_index(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
+    assert_eq!(service.import_bundle(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
 }
 
 #[test]
 fn envelope_for_an_index_free_kind_is_refused_at_decode_time() {
-    // Hand-craft an envelope claiming to carry an `online` index: the frame
+    // Hand-craft a bundle claiming to carry an `online` index: the frame
     // parses, but reviving the engine reports the missing capability.
     let service = fig1_service();
-    let forged = IndexEnvelope::new(
-        EngineKind::Online,
+    let forged = IndexBundle::new(
         service.fingerprint(),
-        bytes::Bytes::from_static(b""),
+        vec![(EngineKind::Online, bytes::Bytes::from_static(b""))],
     );
     assert_eq!(
-        service.import_index(forged.encode()).unwrap_err(),
+        service.import_bundle(forged.encode()).unwrap_err(),
         SearchError::SerializationUnsupported { engine: "online" }
     );
 }
@@ -179,7 +182,7 @@ fn bundle_roundtrips_tsd_gct_hybrid_as_one_artifact() {
     assert_eq!(bundle.fingerprint, donor.fingerprint());
     assert_eq!(bundle.kinds(), kinds.to_vec());
 
-    let fresh = SearchService::from_arc(donor.graph_arc());
+    let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(fresh.import_bundle(blob).expect("import bundle"), kinds.to_vec());
     assert_eq!(fresh.built_engines(), kinds.to_vec());
     let spec = QuerySpec::new(4, 3).unwrap();
@@ -294,7 +297,7 @@ fn bundle_import_rejects_payload_bitflips_via_the_entry_checksum() {
     // Flip a byte in the middle of the first (TSD) payload.
     let mut corrupt = good.as_ref().to_vec();
     corrupt[BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES + first_payload_len / 2] ^= 0x40;
-    let fresh = SearchService::from_arc(donor.graph_arc());
+    let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(
         fresh.import_bundle(corrupt.into()).unwrap_err(),
         SearchError::Decode(DecodeError::PayloadChecksum { tag: EngineKind::Tsd.tag() })
@@ -338,19 +341,25 @@ fn bundle_import_rejects_the_checksumless_version_1_format() {
     );
 }
 
-/// The two frame formats are mutually exclusive: a single-index "SDIE"
-/// envelope fed to `import_bundle` is refused at the magic, and vice versa.
+/// The single-index "SDIE" envelope of earlier releases (a one-entry
+/// bundle without the payload checksum) is no longer read: a blob in that
+/// format is refused at the magic, whatever it carries.
 #[test]
 fn envelope_and_bundle_blobs_are_not_interchangeable() {
     let service = fig1_service();
-    let envelope = service.export_index(EngineKind::Gct).unwrap();
-    let bundle = service.export_bundle([EngineKind::Gct]).unwrap();
+    let payload = service.engine(EngineKind::Gct).to_bytes().expect("raw index bytes");
+    let fingerprint = service.fingerprint();
+    let mut sdie = Vec::new();
+    sdie.extend_from_slice(&0x5344_4945u32.to_le_bytes()); // "SDIE"
+    sdie.extend_from_slice(&1u16.to_le_bytes()); // its only format version
+    sdie.extend_from_slice(&[EngineKind::Gct.tag(), 0]);
+    for field in [fingerprint.n, fingerprint.m, fingerprint.edge_checksum] {
+        sdie.extend_from_slice(&field.to_le_bytes());
+    }
+    sdie.extend_from_slice(&(payload.as_ref().len() as u64).to_le_bytes());
+    sdie.extend_from_slice(payload.as_ref());
     assert_eq!(
-        service.import_bundle(envelope).unwrap_err(),
-        SearchError::Decode(DecodeError::BadMagic)
-    );
-    assert_eq!(
-        service.import_index(bundle).unwrap_err(),
+        service.import_bundle(sdie.into()).unwrap_err(),
         SearchError::Decode(DecodeError::BadMagic)
     );
 }
@@ -370,7 +379,7 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
             (EngineKind::Gct, bytes::Bytes::from_static(b"not a gct index")),
         ],
     );
-    let fresh = SearchService::from_arc(donor.graph_arc());
+    let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(
         fresh.import_bundle(corrupt.encode()).unwrap_err(),
         SearchError::Decode(DecodeError::BadMagic),
@@ -379,25 +388,23 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
     assert!(fresh.built_engines().is_empty(), "the valid TSD entry must not have been installed");
 }
 
-/// PR-3's known gap, closed in 0.4.0: `decode_engine` (vertex-count-only
-/// attachment) is crate-private, so every public path that turns serialized
-/// bytes into a serving engine — `import_index` and `import_bundle`, the
-/// only two — checks the graph fingerprint. A stale blob from a same-shape
-/// graph (identical n and m, one different edge) must be impossible to
-/// attach through any public surface.
+/// `decode_engine` (vertex-count-only attachment) is crate-private, so the
+/// one public path that turns serialized bytes into a serving engine,
+/// `import_bundle`, checks the graph fingerprint. A stale blob from a
+/// same-shape graph (identical n and m, one different edge) must be
+/// impossible to attach through any public surface.
 #[test]
 fn no_fingerprintless_public_decode_path_remains() {
     let donor = fig1_service();
     let churned = churned_same_shape(&donor);
-    for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
-        let envelope = donor.export_index(kind).unwrap();
+    for kind in INDEX_KINDS {
+        let single = donor.export_bundle([kind]).unwrap();
         assert!(
-            matches!(churned.import_index(envelope), Err(SearchError::FingerprintMismatch { .. })),
-            "{kind}: import_index accepted a stale same-shape blob"
+            matches!(churned.import_bundle(single), Err(SearchError::FingerprintMismatch { .. })),
+            "{kind}: import_bundle accepted a stale same-shape blob"
         );
     }
-    let bundle =
-        donor.export_bundle([EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid]).unwrap();
+    let bundle = donor.export_bundle(INDEX_KINDS).unwrap();
     assert!(
         matches!(churned.import_bundle(bundle), Err(SearchError::FingerprintMismatch { .. })),
         "import_bundle accepted a stale same-shape bundle"
@@ -409,21 +416,21 @@ fn no_fingerprintless_public_decode_path_remains() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Envelope round-trips preserve answers on arbitrary graphs, and the
-    /// recorded fingerprint always matches the source graph's.
+    /// One-entry bundle round-trips preserve answers on arbitrary graphs,
+    /// and the recorded fingerprint always matches the source graph's.
     #[test]
     fn envelope_roundtrip_preserves_answers(g in arb_graph(16, 60), k in 2u32..5) {
         let g = Arc::new(g);
         let spec = QuerySpec::new(k, 3.min(g.n())).expect("valid spec");
         let donor = SearchService::from_arc(g.clone());
         prop_assert_eq!(donor.fingerprint(), GraphFingerprint::of(&g));
-        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
-            let blob = donor.export_index(kind).expect("export");
-            let envelope = IndexEnvelope::decode(blob.clone()).expect("decode");
-            prop_assert_eq!(envelope.kind, kind);
-            prop_assert_eq!(envelope.fingerprint, donor.fingerprint());
+        for kind in INDEX_KINDS {
+            let blob = donor.export_bundle([kind]).expect("export");
+            let bundle = IndexBundle::decode(blob.clone()).expect("decode");
+            prop_assert_eq!(bundle.kinds(), vec![kind]);
+            prop_assert_eq!(bundle.fingerprint, donor.fingerprint());
             let fresh = SearchService::from_arc(g.clone());
-            fresh.import_index(blob).expect("import");
+            fresh.import_bundle(blob).expect("import");
             prop_assert_eq!(
                 fresh.top_r(&spec.with_engine(kind)).expect("query").scores(),
                 donor.top_r(&spec.with_engine(kind)).expect("query").scores(),
@@ -432,10 +439,110 @@ proptest! {
         }
     }
 
-    /// Arbitrary bytes never panic the envelope decoder.
+    /// Arbitrary bytes never panic the bundle decoder.
     #[test]
     fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let service = fig1_service();
-        let _ = service.import_index(bytes::Bytes::from(data));
+        let _ = service.import_bundle(bytes::Bytes::from(data));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Corruption sweeps.
+
+/// Every answer an engine of `kind` gives on `service` at k = 2..=8 and
+/// r = n: vertices, scores, and social contexts.
+fn answers(service: &SearchService, kind: EngineKind) -> Vec<Vec<TopREntry>> {
+    let n = service.graph().n();
+    (2..=8)
+        .map(|k| {
+            let spec = QuerySpec::new(k, n).unwrap().with_engine(kind);
+            let result = service.top_r(&spec).expect("query on an imported engine");
+            assert_eq!(result.metrics.engine, kind.name(), "imported engines serve directly");
+            result.entries
+        })
+        .collect()
+}
+
+/// Offsets of the reserved bytes of an encoded bundle: header byte 7 and
+/// bytes 1..4 of every entry header.
+fn reserved_offsets(blob: &bytes::Bytes) -> Vec<usize> {
+    let bundle = IndexBundle::decode(blob.clone()).expect("decode");
+    let mut reserved = vec![7];
+    let mut entry = BUNDLE_HEADER_BYTES;
+    for (_, payload) in &bundle.entries {
+        reserved.extend(entry + 1..entry + 4);
+        entry += BUNDLE_ENTRY_HEADER_BYTES + payload.as_ref().len();
+    }
+    reserved
+}
+
+/// Flip every bit of an exported bundle — a one-entry bundle of each
+/// serializable kind, and all three together. A flip is accepted exactly
+/// when it lands in a reserved byte, and then every imported engine
+/// answers like the donor; every other flip fails with a typed error.
+#[test]
+fn bitflip_sweep_gives_a_typed_error_or_the_donors_answers() {
+    let donor = fig1_service();
+    donor.wait_ready(INDEX_KINDS);
+    let target = SearchService::from_arc(donor.graph());
+    let exports = INDEX_KINDS.map(|kind| vec![kind]).into_iter().chain([INDEX_KINDS.to_vec()]);
+    for kinds in exports {
+        let blob = donor.export_bundle(kinds.iter().copied()).expect("export");
+        let reserved = reserved_offsets(&blob);
+        let mut accepted = 0;
+        for bit in 0..blob.len() * 8 {
+            let mut flipped = blob.as_ref().to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match target.import_bundle(flipped.into()) {
+                Ok(installed) => {
+                    assert!(reserved.contains(&(bit / 8)), "{kinds:?}: bit {bit} was accepted");
+                    assert_eq!(installed, kinds);
+                    for &kind in &kinds {
+                        assert_eq!(
+                            answers(&target, kind),
+                            answers(&donor, kind),
+                            "{kind} bit {bit}"
+                        );
+                    }
+                    accepted += 1;
+                }
+                Err(err) => assert!(
+                    !reserved.contains(&(bit / 8)),
+                    "{kinds:?}: reserved bit {bit} was refused: {err}"
+                ),
+            }
+        }
+        assert_eq!(accepted, reserved.len() * 8, "{kinds:?}");
+    }
+}
+
+/// A payload can be forged so its entry checksum is valid over flipped
+/// bytes. Flip every payload bit of a one-entry TSD and GCT bundle and
+/// recompute the checksum: import either fails with a typed error, or
+/// installs an engine that answers k = 2..=8 at r = n without panicking.
+#[test]
+fn forged_payload_sweep_never_panics() {
+    let donor = fig1_service();
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
+        let bundle = IndexBundle::decode(donor.export_bundle([kind]).unwrap()).unwrap();
+        let payload = bundle.entries[0].1.as_ref().to_vec();
+        let target = SearchService::from_arc(donor.graph());
+        let (mut accepted, mut invalid) = (0, 0);
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let forged = IndexBundle::new(bundle.fingerprint, vec![(kind, flipped.into())]);
+            match target.import_bundle(forged.encode()) {
+                Ok(_) => {
+                    answers(&target, kind);
+                    accepted += 1;
+                }
+                Err(SearchError::Decode(DecodeError::InvalidEntry)) => invalid += 1,
+                Err(SearchError::Decode(_) | SearchError::GraphMismatch { .. }) => {}
+                Err(other) => panic!("{kind}: bit {bit} failed with an unexpected error: {other}"),
+            }
+        }
+        assert!(accepted > 0 && invalid > 0, "{kind}: accepted {accepted}, invalid {invalid}");
     }
 }
