@@ -3,10 +3,16 @@
 //! inside ego-networks, and the full decomposition (what the indexes
 //! build from) vs the peel stopped at the k-truss (what a single-k query
 //! needs).
+//!
+//! `contexts_rows` is what a single-k query runs: every vertex's social
+//! contexts by the fused kernel, which reads each ego-network's bitmap rows
+//! straight from the global CSR, extraction and components included. Set it
+//! against `extract_per_vertex` + `ktruss_bitmap`, the same work through a
+//! per-ego CSR (without the components).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sd_core::{AllEgoNetworks, EgoNetwork};
+use sd_core::{all_scores, AllEgoNetworks, EgoNetwork};
 use sd_graph::CsrGraph;
 use sd_truss::{
     bitmap_ktruss, bitmap_truss_decomposition, classic_ktruss, ktruss_edges, truss_decomposition,
@@ -32,6 +38,9 @@ fn bench_ego_phase(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("extract_one_shot", g.m()), &g, |b, g| {
         b.iter(|| AllEgoNetworks::build(g).heap_bytes())
+    });
+    group.bench_with_input(BenchmarkId::new("contexts_rows", g.m()), &g, |b, g| {
+        b.iter(|| all_scores(g, K).iter().sum::<u32>())
     });
 
     // Kernel ablation on pre-extracted ego-networks: each row counts the

@@ -10,8 +10,7 @@ use sd_graph::{CsrGraph, GraphBuilder};
 use sd_truss::classic_ktruss;
 
 use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
-use crate::egonet::EgoNetwork;
-use crate::score::social_contexts_of_ego;
+use crate::score::{ego_contexts, EgoScratch};
 use crate::topr::{ContextCollector, TopRCollector};
 
 /// Outcome of graph sparsification, for the pruning-power reports
@@ -103,6 +102,7 @@ pub(crate) fn bound_top_r_with(
 
     let mut collector = ContextCollector::new(config.r);
     let mut computations = 0usize;
+    let mut scratch = EgoScratch::default();
     for &v in &order {
         let ub = bounds[v as usize];
         if let Some(min_score) = collector.min_score() {
@@ -112,7 +112,7 @@ pub(crate) fn bound_top_r_with(
         }
         // Property 1 guarantees the ego-network in G' yields the same social
         // contexts as in G.
-        collector.offer(v, social_contexts_of_ego(&EgoNetwork::extract(reduced, v), config.k));
+        collector.offer(v, ego_contexts(reduced, v, config.k, &mut scratch));
         computations += 1;
     }
 

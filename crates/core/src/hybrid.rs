@@ -14,7 +14,7 @@ use sd_graph::{CsrGraph, VertexId};
 
 use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
 use crate::error::DecodeError;
-use crate::score::social_contexts;
+use crate::score::{ego_contexts, EgoScratch};
 use crate::tsd::TsdIndex;
 
 /// Serialization magic ("HYB1").
@@ -179,11 +179,13 @@ impl HybridIndex {
             }
         }
         let mut computations = 0usize;
+        let mut scratch = EgoScratch::default();
         let entries: Vec<TopREntry> = picks
             .into_iter()
             .map(|(score, vertex)| {
                 computations += 1;
-                TopREntry { vertex, score, contexts: social_contexts(g, vertex, config.k) }
+                let contexts = ego_contexts(g, vertex, config.k, &mut scratch);
+                TopREntry { vertex, score, contexts }
             })
             .collect();
         TopRResult {

@@ -9,8 +9,7 @@ use std::time::Instant;
 use sd_graph::CsrGraph;
 
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
-use crate::egonet::EgoNetwork;
-use crate::score::social_contexts_of_ego;
+use crate::score::{ego_contexts, EgoScratch};
 use crate::topr::ContextCollector;
 
 /// Algorithm 3: full scan of all vertices. Crate-internal: reachable
@@ -18,8 +17,9 @@ use crate::topr::ContextCollector;
 pub(crate) fn online_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
     let start = Instant::now();
     let mut collector = ContextCollector::new(config.r);
+    let mut scratch = EgoScratch::default();
     for v in g.vertices() {
-        collector.offer(v, social_contexts_of_ego(&EgoNetwork::extract(g, v), config.k));
+        collector.offer(v, ego_contexts(g, v, config.k, &mut scratch));
     }
     TopRResult {
         entries: collector.into_entries(),
@@ -36,9 +36,8 @@ pub(crate) fn online_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult
 /// the effectiveness experiments (Figure 13's score-interval groups) and as
 /// the ground truth in tests.
 pub fn all_scores(g: &CsrGraph, k: u32) -> Vec<u32> {
-    g.vertices()
-        .map(|v| social_contexts_of_ego(&EgoNetwork::extract(g, v), k).len() as u32)
-        .collect()
+    let mut scratch = EgoScratch::default();
+    g.vertices().map(|v| ego_contexts(g, v, k, &mut scratch).len() as u32).collect()
 }
 
 #[cfg(test)]

@@ -47,10 +47,9 @@ use sd_truss::vertex_trussness;
 
 use crate::bound::{sparsify, upper_bounds, BoundOptions};
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
-use crate::egonet::EgoNetwork;
 use crate::gct::{GctEntry, GctIndex};
 use crate::pool::{Job, WorkerPool};
-use crate::score::{decompose_ego, social_contexts_of_ego};
+use crate::score::{decompose_ego, ego_contexts, EgoScratch};
 use crate::topr::ContextCollector;
 
 /// Number of worker threads to use: `available_parallelism`, capped.
@@ -112,16 +111,16 @@ pub const SCAN_WINDOW: usize = 1024;
 /// Vertices per job within one window.
 const WINDOW_CHUNK: usize = 128;
 
-/// Applies `f` to the ego-network of each of `vertices`, one chunk of
-/// `chunk_size` vertices per pool job, reducing in chunk order.
-/// Deterministic: output `i` belongs to `vertices[i]` regardless of thread
-/// count.
+/// Applies `f` to each of `vertices`, one chunk of `chunk_size` vertices
+/// per pool job, reducing in chunk order; each job hands `f` the graph, the
+/// vertex and an [`EgoScratch`] of its own. Deterministic: output `i`
+/// belongs to `vertices[i]` regardless of thread count.
 fn pool_map<T: Send + 'static>(
     pool: &WorkerPool,
     g: &Arc<CsrGraph>,
     vertices: &[VertexId],
     chunk_size: usize,
-    f: impl Fn(&EgoNetwork) -> T + Send + Sync + 'static,
+    f: impl Fn(&CsrGraph, VertexId, &mut EgoScratch) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
     let total = vertices.len();
     if total == 0 {
@@ -138,7 +137,8 @@ fn pool_map<T: Send + 'static>(
         let mine: Vec<VertexId> = vertices[lo..hi].to_vec();
         let (g, slots, f) = (g.clone(), slots.clone(), f.clone());
         jobs.push(Box::new(move || {
-            let out: Vec<T> = mine.iter().map(|&v| f(&EgoNetwork::extract(&g, v))).collect();
+            let mut scratch = EgoScratch::default();
+            let out: Vec<T> = mine.iter().map(|&v| f(&g, v, &mut scratch)).collect();
             *slots[c].lock() = out; // lock: scan.chunk
         }));
     }
@@ -154,7 +154,9 @@ fn pool_map<T: Send + 'static>(
 /// identical to [`crate::online::all_scores`] at any thread count.
 pub fn pool_all_scores(pool: &WorkerPool, g: &Arc<CsrGraph>, k: u32) -> Vec<u32> {
     let vertices: Vec<VertexId> = (0..g.n() as VertexId).collect();
-    pool_map(pool, g, &vertices, SCAN_CHUNK, move |ego| social_contexts_of_ego(ego, k).len() as u32)
+    pool_map(pool, g, &vertices, SCAN_CHUNK, move |g, v, scratch| {
+        ego_contexts(g, v, k, scratch).len() as u32
+    })
 }
 
 /// The scan Online and Bound share: computes the social contexts of
@@ -182,8 +184,9 @@ fn scan_windows(
         if prunes(collector, window[0]) {
             break;
         }
-        let contexts =
-            pool_map(pool, g, window, WINDOW_CHUNK, move |ego| social_contexts_of_ego(ego, k));
+        let contexts = pool_map(pool, g, window, WINDOW_CHUNK, move |g, v, scratch| {
+            ego_contexts(g, v, k, scratch)
+        });
         computations += window.len();
         // Replay the sequential loop over the precomputed window:
         // identical offers, identical break point.

@@ -9,8 +9,9 @@
 //! The peel takes a level cap. [`truss_decomposition`] runs it to the end;
 //! [`classic_ktruss`] stops once the minimum remaining support reaches
 //! `k − 2`, so the edges left are exactly the k-truss and nothing above `k`
-//! is peeled. This is the classic kernel; [`crate::bitmap`] has the bitmap
-//! one, on the same peel.
+//! is peeled. This is the classic kernel. [`crate::bitmap`] has the bitmap
+//! one: its full decomposition runs on the same peel, its k-truss on a
+//! worklist over adjacency-bitmap rows.
 
 use sd_graph::triangles::edge_support;
 use sd_graph::{CsrGraph, EdgeId, PeelingBuckets};

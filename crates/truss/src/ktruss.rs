@@ -37,15 +37,23 @@ pub fn maximal_connected_ktrusses(
 /// a k-truss edge set (from [`crate::classic_ktruss`] or [`crate::bitmap_ktruss`]),
 /// these are its maximal connected k-trusses.
 pub fn edge_components(g: &CsrGraph, edges: &[EdgeId]) -> Vec<Vec<VertexId>> {
-    let mut dsu = Dsu::new(g.n());
-    let mut spanned = vec![false; g.n()];
-    for &e in edges {
-        let (u, v) = g.edge(e);
+    components(g.n(), edges.iter().map(|&e| g.edge(e)))
+}
+
+/// Vertex sets of the connected components spanned by `edges` over the
+/// vertices `0..n`, in the order of [`maximal_connected_ktrusses`].
+pub(crate) fn components(
+    n: usize,
+    edges: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> Vec<Vec<VertexId>> {
+    let mut dsu = Dsu::new(n);
+    let mut spanned = vec![false; n];
+    for (u, v) in edges {
         dsu.union(u, v);
         spanned[u as usize] = true;
         spanned[v as usize] = true;
     }
-    collect_components(g.n(), &spanned, &mut dsu)
+    collect_components(n, &spanned, &mut dsu)
 }
 
 /// Groups the marked vertices by their DSU root; shared by the k-truss and

@@ -6,9 +6,12 @@
 //! * [`decompose`] — truss decomposition (Algorithm 1 of the paper, the
 //!   Wang–Cheng peeling algorithm) producing per-edge trussness, and its
 //!   k-bounded form that peels only up to the k-truss.
-//! * [`bitmap`] — the bitmap-accelerated kernel of Section 6.2, in the same
-//!   two forms. Which kernel an ego-network gets is decided in one place,
-//!   `sd-core`'s `score` module.
+//! * [`bitmap`] — the bitmap-accelerated kernel of Section 6.2: the full
+//!   decomposition, and [`BitRows`], reusable adjacency-bitmap rows peeled
+//!   to the k-truss by a worklist (behind [`bitmap_ktruss`], and filled
+//!   straight from the global graph by `sd-core`'s single-k ego kernel).
+//!   Which kernel an ego-network gets is decided in one place, `sd-core`'s
+//!   `score` module.
 //! * [`ktruss`] — k-truss extraction and maximal connected k-trusses
 //!   (the paper's *social contexts* when applied to an ego-network).
 //! * [`kcore`] — k-core decomposition, needed by the Core-Div baseline.
@@ -38,7 +41,7 @@ pub mod histogram;
 pub mod kcore;
 pub mod ktruss;
 
-pub use bitmap::{bitmap_ktruss, bitmap_truss_decomposition};
+pub use bitmap::{bitmap_ktruss, bitmap_truss_decomposition, BitRows};
 pub use decompose::{classic_ktruss, truss_decomposition, vertex_trussness, TrussDecomposition};
 pub use histogram::trussness_histogram;
 pub use kcore::{core_decomposition, maximal_connected_kcores, CoreDecomposition};

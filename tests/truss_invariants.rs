@@ -1,8 +1,10 @@
 //! Property tests of the decomposition substrate against naive references:
 //! the k-truss from our trussness labels must equal the iterative-removal
 //! fixpoint for every k, bitmap and classic peeling must agree (in full and
-//! stopped at the k-truss), coreness
-//! must match naive peeling, and triangle counting must match brute force.
+//! stopped at the k-truss), the fused single-k ego kernel must give the
+//! contexts of the classic decomposition on ego-networks whose sizes sit at
+//! the bitmap's word boundaries, coreness must match naive peeling, and
+//! triangle counting must match brute force.
 
 mod common;
 
@@ -10,10 +12,29 @@ use common::{arb_graph, naive_kcore_vertices, naive_ktruss_edges, naive_triangle
 use proptest::prelude::*;
 
 use structural_diversity::graph::triangles::{edge_support, triangle_count};
+use structural_diversity::graph::{CsrGraph, GraphBuilder, VertexId};
+use structural_diversity::search::{all_scores, social_contexts, EgoNetwork};
 use structural_diversity::truss::{
     bitmap_ktruss, bitmap_truss_decomposition, classic_ktruss, core_decomposition, ktruss_edges,
-    truss_decomposition, vertex_trussness,
+    maximal_connected_ktrusses, truss_decomposition, vertex_trussness,
 };
+
+/// Ego-network sizes around the bitmap's 64-bit word boundaries.
+const WORD_BOUNDARY_DEGREES: [u32; 6] = [1, 63, 64, 65, 128, 129];
+
+/// Strategy: hub `0` joined to `d` leaves `1..=d` for a `d` from
+/// [`WORD_BOUNDARY_DEGREES`], plus random edges among the leaves, so the
+/// hub's ego-network has exactly `d` vertices and the leaves' ones have
+/// sizes all over the range.
+fn arb_hub_graph() -> impl Strategy<Value = CsrGraph> {
+    (0..WORD_BOUNDARY_DEGREES.len()).prop_flat_map(|i| {
+        let d = WORD_BOUNDARY_DEGREES[i];
+        let max_pairs = (d * d / 3) as usize + 1;
+        proptest::collection::vec((1..=d, 1..=d), 0..max_pairs).prop_map(move |pairs| {
+            GraphBuilder::new().extend_edges((1..=d).map(|u| (0, u))).extend_edges(pairs).build()
+        })
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -113,6 +134,35 @@ proptest! {
                     before.trussness[e1 as usize],
                     after.trussness[e2]
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fused kernel behind `social_contexts` (adjacency-bitmap rows
+    /// read off the global graph, worklist peel, components of the live
+    /// edges) gives, for every vertex and every k, the maximal connected
+    /// k-trusses of the classic full decomposition of its extracted
+    /// ego-network, in global ids; `all_scores`, which reuses one scratch
+    /// across every vertex, counts the same.
+    #[test]
+    fn fused_ego_kernel_matches_classic_at_word_boundaries(g in arb_hub_graph()) {
+        let egos: Vec<EgoNetwork> = g.vertices().map(|v| EgoNetwork::extract(&g, v)).collect();
+        let decompositions: Vec<_> = egos.iter().map(|ego| truss_decomposition(&ego.graph)).collect();
+        for k in 2..=8 {
+            let scores = all_scores(&g, k);
+            for v in g.vertices() {
+                let ego = &egos[v as usize];
+                let expected: Vec<Vec<VertexId>> =
+                    maximal_connected_ktrusses(&ego.graph, &decompositions[v as usize], k)
+                        .iter()
+                        .map(|component| ego.to_global(component))
+                        .collect();
+                prop_assert_eq!(scores[v as usize] as usize, expected.len(), "v={} k={}", v, k);
+                prop_assert_eq!(social_contexts(&g, v, k), expected, "v={} k={}", v, k);
             }
         }
     }
